@@ -177,11 +177,12 @@ func fig3Task(ctx context.Context, cfg Fig3Config, oracle *Oracle, profile llm.P
 		out.err = err
 		return out
 	}
-	type sample struct {
-		tokens int
-		passed bool
-	}
-	var samples []sample
+	// Valid samples are collected first, then verified as one oracle batch
+	// (verdicts identical to per-sample Verify, in sample order).
+	var (
+		tokens []int
+		codes  []string
+	)
 	for i := 0; i < cfg.Samples; i++ {
 		out.total++
 		resp, gerr := client.Generate(ctx, llm.GenerateRequest{
@@ -203,34 +204,35 @@ func fig3Task(ctx context.Context, cfg Fig3Config, oracle *Oracle, profile llm.P
 			out.dropped++ // syntactically incomplete: removed from the graph
 			continue
 		}
-		pass, verr := oracle.Verify(task.ID, resp.Code)
-		if verr != nil {
-			out.err = verr
-			return out
-		}
-		samples = append(samples, sample{tokens: resp.ReasoningTokens, passed: pass})
+		tokens = append(tokens, resp.ReasoningTokens)
+		codes = append(codes, resp.Code)
 	}
-	if len(samples) < 2 {
+	passed, verr := oracle.VerifyBatch(task.ID, codes)
+	if verr != nil {
+		out.err = verr
 		return out
 	}
-	minT, maxT := samples[0].tokens, samples[0].tokens
-	for _, s := range samples {
-		if s.tokens < minT {
-			minT = s.tokens
+	if len(codes) < 2 {
+		return out
+	}
+	minT, maxT := tokens[0], tokens[0]
+	for _, t := range tokens {
+		if t < minT {
+			minT = t
 		}
-		if s.tokens > maxT {
-			maxT = s.tokens
+		if t > maxT {
+			maxT = t
 		}
 	}
 	span := maxT - minT
-	for _, s := range samples {
+	for _, t := range tokens {
 		n := 0.5
 		if span > 0 {
-			n = float64(s.tokens-minT) / float64(span)
+			n = float64(t-minT) / float64(span)
 		}
 		out.norm = append(out.norm, n)
-		out.passed = append(out.passed, s.passed)
 	}
+	out.passed = passed
 	return out
 }
 

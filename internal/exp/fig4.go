@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -72,8 +73,11 @@ type Fig4Result struct {
 }
 
 // RunFig4 reproduces Fig. 4: pass@1 of Baseline, VRank and VFocus
-// (pre-ranking + ranking) as the candidate count grows from 5 to 50,
-// averaged over cfg.Runs repetitions with standard deviations.
+// (pre-ranking + ranking) at each of cfg.SampleSizes candidates (default
+// 5, 10, ..., 50), averaged over cfg.Runs repetitions with standard
+// deviations. Models run one after another; within a model, (run, task)
+// jobs share cfg.Workers goroutines (see runFig4Model). The first error in
+// (model, n, run, task) order is returned, with no partial result.
 func RunFig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 	if len(cfg.Tasks) == 0 {
 		cfg.Tasks = eval.Suite()
@@ -113,37 +117,76 @@ type fig4Cell struct {
 	err      error
 }
 
+// runFig4Model measures one model's curves. Work is scheduled task-major:
+// a job is one (run, task) pair and walks that task's sample sizes largest
+// first. Fig. 4's pools are prefixes of one another — each sample is fixed
+// by (task, run, sample index) whatever n is, and the ranking stimulus does
+// not depend on n — so the largest pool compiles, fingerprints and verifies
+// every candidate once, and the smaller pools re-rank the same designs while
+// the compile cache, the fingerprint memo and the oracle's verdicts still
+// hold them. (A size-major walk touches tasks × n designs per pass, more
+// than those caches keep, so each design was evicted before it recurred.)
+// Cells are aggregated, and the first error is reported, in (n, run, task)
+// order, so every float sum and the rendered output match a size-major walk.
 func runFig4Model(ctx context.Context, cfg Fig4Config, oracle *Oracle, model string) (Fig4Series, error) {
 	profile, err := llm.ProfileByName(model)
 	if err != nil {
 		return Fig4Series{}, err
 	}
-	series := Fig4Series{Model: model}
-	for _, n := range cfg.SampleSizes {
-		var (
-			baseRuns, vrankRuns, vfocusRuns []float64
-		)
-		for run := 0; run < cfg.Runs; run++ {
-			cells := make([]fig4Cell, len(cfg.Tasks))
-			var wg sync.WaitGroup
-			jobs := make(chan int)
-			for w := 0; w < cfg.Workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for ti := range jobs {
-						cells[ti] = fig4Task(ctx, cfg, oracle, profile, cfg.Tasks[ti], run, n)
-					}
-				}()
-			}
-			for ti := range cfg.Tasks {
-				jobs <- ti
-			}
-			close(jobs)
-			wg.Wait()
+	cells := make([][][]fig4Cell, len(cfg.SampleSizes)) // [n][run][task]
+	for ni := range cells {
+		cells[ni] = make([][]fig4Cell, cfg.Runs)
+		for run := range cells[ni] {
+			cells[ni][run] = make([]fig4Cell, len(cfg.Tasks))
+		}
+	}
+	largestFirst := make([]int, len(cfg.SampleSizes))
+	for i := range largestFirst {
+		largestFirst[i] = i
+	}
+	sort.SliceStable(largestFirst, func(a, b int) bool {
+		return cfg.SampleSizes[largestFirst[a]] > cfg.SampleSizes[largestFirst[b]]
+	})
 
+	type job struct{ run, ti int }
+	var wg sync.WaitGroup
+	jobs := make(chan job)
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				task := cfg.Tasks[j.ti]
+				client, err := mintClient(cfg.NewClient, profile, cfg.Seed+int64(j.run)*1009, []eval.Task{task})
+				for _, ni := range largestFirst {
+					cell := &cells[ni][j.run][j.ti]
+					switch {
+					case err != nil:
+						cell.err = err
+					case ctx.Err() != nil:
+						cell.err = ctx.Err()
+					default:
+						*cell = fig4Task(ctx, cfg, oracle, client, profile, task, j.run, cfg.SampleSizes[ni])
+					}
+				}
+			}
+		}()
+	}
+	for run := 0; run < cfg.Runs; run++ {
+		for ti := range cfg.Tasks {
+			jobs <- job{run, ti}
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	series := Fig4Series{Model: model}
+	total := float64(len(cfg.Tasks))
+	for ni, n := range cfg.SampleSizes {
+		var baseRuns, vrankRuns, vfocusRuns []float64
+		for run := 0; run < cfg.Runs; run++ {
 			var base, vr, vf float64
-			for _, c := range cells {
+			for _, c := range cells[ni][run] {
 				if c.err != nil {
 					return series, c.err
 				}
@@ -155,7 +198,6 @@ func runFig4Model(ctx context.Context, cfg Fig4Config, oracle *Oracle, model str
 					vf++
 				}
 			}
-			total := float64(len(cfg.Tasks))
 			baseRuns = append(baseRuns, base/total)
 			vrankRuns = append(vrankRuns, vr/total)
 			vfocusRuns = append(vfocusRuns, vf/total)
@@ -170,14 +212,11 @@ func runFig4Model(ctx context.Context, cfg Fig4Config, oracle *Oracle, model str
 	return series, nil
 }
 
-func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.Profile, task eval.Task, run, n int) fig4Cell {
+// fig4Task measures one (task, run, n) cell: the baseline pool's pass@1
+// (its candidates verified as one oracle batch) and whether VRank and
+// pre-ranking + ranking select a correct design.
+func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, client llm.Client, profile llm.Profile, task eval.Task, run, n int) fig4Cell {
 	var cell fig4Cell
-	clientSeed := cfg.Seed + int64(run)*1009
-	client, err := mintClient(cfg.NewClient, profile, clientSeed, []eval.Task{task})
-	if err != nil {
-		cell.err = err
-		return cell
-	}
 	runVariant := func(v core.Variant) (*core.Result, error) {
 		pcfg := core.DefaultConfig(v, profile.Name)
 		pcfg.Samples = n
@@ -197,13 +236,17 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		cell.err = err
 		return cell
 	}
+	codes := make([]string, len(baseRes.Candidates))
+	for i, c := range baseRes.Candidates {
+		codes[i] = c.Code
+	}
+	verdicts, err := oracle.VerifyBatch(task.ID, codes)
+	if err != nil {
+		cell.err = err
+		return cell
+	}
 	correct := 0
-	for _, c := range baseRes.Candidates {
-		ok, verr := oracle.Verify(task.ID, c.Code)
-		if verr != nil {
-			cell.err = verr
-			return cell
-		}
+	for _, ok := range verdicts {
 		if ok {
 			correct++
 		}

@@ -2,9 +2,12 @@ package exp
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/llm"
 )
 
 // smallTasks picks a spread of tasks for fast experiment tests.
@@ -102,5 +105,77 @@ func TestRunFig4ShapeSmall(t *testing.T) {
 		if p.VFocus.Mean < p.Baseline.Mean-0.10 {
 			t.Errorf("n=%d vfocus %.3f well below baseline %.3f", p.N, p.VFocus.Mean, p.Baseline.Mean)
 		}
+	}
+}
+
+// TestRunFig4ClientErrorSurfaces checks the error path of the task-major
+// schedule: a client factory that fails for one (task, run) pair must fail
+// the whole run with that error and no partial result. A second planted
+// failure later in (n, run, task) order must not win, however the workers
+// interleave.
+func TestRunFig4ClientErrorSurfaces(t *testing.T) {
+	tasks := smallTasks(t)[:4]
+	const seed = 21
+	type pair struct {
+		run  int64
+		task string
+	}
+	errFirst := errors.New("planted client failure (run 0)")
+	errLater := errors.New("planted client failure (run 1)")
+	planted := map[pair]error{
+		{0, tasks[3].ID}: errFirst,
+		{1, tasks[0].ID}: errLater,
+	}
+	var mints atomic.Int64
+	factory := func(model string, s int64, ts []eval.Task) (llm.Client, error) {
+		mints.Add(1)
+		if err := planted[pair{(s - seed) / 1009, ts[0].ID}]; err != nil {
+			return nil, err
+		}
+		profile, err := llm.ProfileByName(model)
+		if err != nil {
+			return nil, err
+		}
+		return llm.NewSimClient(profile, s, ts)
+	}
+	cfg := Fig4Config{
+		Models:      []string{"deepseek-r1", "qwq-32b"},
+		Tasks:       tasks,
+		SampleSizes: []int{5, 10},
+		Runs:        2,
+		Seed:        seed,
+		Workers:     3,
+		NewClient:   factory,
+	}
+	for i := 0; i < 3; i++ {
+		mints.Store(0)
+		res, err := RunFig4(context.Background(), cfg)
+		if !errors.Is(err, errFirst) {
+			t.Fatalf("RunFig4 error = %v, want %v", err, errFirst)
+		}
+		if res != nil {
+			t.Fatalf("RunFig4 returned a partial result alongside its error: %+v", res)
+		}
+		// The first model fails, so only its (run, task) jobs mint clients.
+		if got, want := mints.Load(), int64(cfg.Runs*len(tasks)); got != want {
+			t.Errorf("factory called %d times, want %d (one per (run, task))", got, want)
+		}
+	}
+}
+
+// TestRunFig4CancelledContext checks that a cancelled run stops early and
+// reports the cancellation instead of a result.
+func TestRunFig4CancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunFig4(ctx, Fig4Config{
+		Models:      []string{"deepseek-r1"},
+		Tasks:       smallTasks(t)[:3],
+		SampleSizes: []int{5, 10},
+		Runs:        1,
+		Seed:        3,
+	})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("RunFig4 on a cancelled context = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }

@@ -199,10 +199,14 @@ func newJobRecord(id string) *jobRecord {
 
 func (j *jobRecord) append(ev Event) {
 	j.mu.Lock()
+	j.appendLocked(ev)
+	j.mu.Unlock()
+}
+
+func (j *jobRecord) appendLocked(ev Event) {
 	j.events = append(j.events, ev)
 	close(j.wake)
 	j.wake = make(chan struct{})
-	j.mu.Unlock()
 }
 
 func (j *jobRecord) setStatus(status string) {
@@ -211,7 +215,9 @@ func (j *jobRecord) setStatus(status string) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal state and appends the terminal event.
+// finish records the terminal state and appends the terminal event under
+// one lock, so a follower never sees a final job whose log lacks the
+// terminal event (it would end the stream without one).
 func (j *jobRecord) finish(err error) {
 	status := StatusCompleted
 	msg := ""
@@ -224,11 +230,6 @@ func (j *jobRecord) finish(err error) {
 		status = StatusFailed
 		msg = err.Error()
 	}
-	j.mu.Lock()
-	j.status = status
-	j.errMsg = msg
-	j.final = true
-	j.mu.Unlock()
 	ev := Event{Type: "done", Status: status}
 	if status == StatusFailed {
 		ev.Type = "error"
@@ -238,7 +239,12 @@ func (j *jobRecord) finish(err error) {
 		ev.Type = "cancelled"
 		ev.Error = msg
 	}
-	j.append(ev)
+	j.mu.Lock()
+	j.status = status
+	j.errMsg = msg
+	j.final = true
+	j.appendLocked(ev)
+	j.mu.Unlock()
 }
 
 // snapshot returns the events at or after index i, plus the wake channel
