@@ -2,7 +2,8 @@
 // HTTP/JSON daemon: submit a (golden, buggy-candidate-pool) job, stream
 // ranked clusters back as NDJSON, cancel mid-flight by ID. SIGINT/SIGTERM
 // shut down gracefully — intake stops, in-flight jobs drain under the
-// drain deadline, stragglers are force-cancelled.
+// drain deadline, stragglers are force-cancelled. A submit body over 8 MiB
+// fails with 413, and an explicit pool over 200 candidates with 400.
 //
 // Usage:
 //

@@ -11,8 +11,9 @@ import (
 
 // The goldens under testdata/ were captured from the size-major Fig. 4
 // driver and the per-sample Fig. 3 verification loop, before either was
-// restructured. They pin the rendered bytes, so a scheduling or batching
-// change that moves any rendered number fails here. There is deliberately
+// restructured, and Table I before the compiled backend's boxed fallback
+// evaluator was deleted. They pin the rendered bytes, so a scheduling,
+// batching or evaluator change that moves any rendered number fails here. There is deliberately
 // no update flag: regenerating them from the code under test would prove
 // nothing.
 
@@ -65,4 +66,19 @@ func TestFig3RenderGolden(t *testing.T) {
 		t.Fatalf("RunFig3: %v", err)
 	}
 	checkGolden(t, "fig3_render.golden", res.Render())
+}
+
+func TestTable1RenderGolden(t *testing.T) {
+	res, err := RunTable1(context.Background(), Table1Config{
+		Models:  []string{"deepseek-r1", "qwq-32b"},
+		Tasks:   goldenTasks(),
+		Samples: 20,
+		Runs:    2,
+		Seed:    17,
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatalf("RunTable1: %v", err)
+	}
+	checkGolden(t, "table1_render.golden", res.Render())
 }

@@ -47,7 +47,9 @@ type Config struct {
 	// Model is the default simulated-LLM profile for jobs that ask the
 	// server to generate their candidate pool.
 	Model string
-	// MaxSamples caps server-side candidate generation per job.
+	// MaxSamples caps the candidate pool per job (default 200): server-side
+	// generation is clamped to it, and a submit whose explicit pool is
+	// larger is rejected with 400.
 	MaxSamples int
 	// StoreDesc describes the persistent result store the process runs
 	// with ("off" when none); surfaced by /statsz for operators and the
@@ -65,6 +67,10 @@ type Config struct {
 	// LLMDesc names the LLM backend for /statsz ("sim" when empty).
 	LLMDesc string
 }
+
+// maxSubmitBytes bounds one submit request body; a larger body is rejected
+// with 413 before any of it is decoded into candidates.
+const maxSubmitBytes = 8 << 20
 
 // finishedCap bounds how many completed job records the server retains for
 // late status/stream readers; the oldest finished jobs are evicted first.
@@ -319,8 +325,17 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxSubmitBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req.Candidates) > s.cfg.MaxSamples {
+		http.Error(w, fmt.Sprintf("%d candidates exceed the per-job cap of %d", len(req.Candidates), s.cfg.MaxSamples), http.StatusBadRequest)
 		return
 	}
 	task, ok := s.tasks[req.TaskID]

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -276,6 +277,56 @@ func TestSubmitRejections(t *testing.T) {
 	close(release)
 	if fin := terminal(streamEvents(t, client, ts.URL, "dup")); fin == nil || fin.Status != StatusCompleted {
 		t.Fatalf("held job terminal = %+v", fin)
+	}
+}
+
+// TestSubmitBudgets: an oversized request body (413) and an explicit pool
+// past MaxSamples (400) each fail at submit without creating a job, and the
+// next normal job on the same server completes with the clusters a direct
+// rank of its pool produces.
+func TestSubmitBudgets(t *testing.T) {
+	_, ts, client := newTestServer(t, Config{Workers: 1, QueueCap: 4, RankWorkers: 2})
+
+	huge := SubmitRequest{ID: "huge", TaskID: gateTaskID, Candidates: []string{strings.Repeat("x", maxSubmitBytes)}}
+	if _, resp := submitJob(t, client, ts.URL, huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+	pool := make([]string, 201)
+	for i := range pool {
+		pool[i] = gateCandidates()[i%4]
+	}
+	if _, resp := submitJob(t, client, ts.URL, SubmitRequest{ID: "wide", TaskID: gateTaskID, Candidates: pool}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("201-candidate pool: HTTP %d, want 400", resp.StatusCode)
+	}
+	for _, id := range []string{"huge", "wide"} {
+		resp, err := client.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("rejected job %q left a record: HTTP %d", id, resp.StatusCode)
+		}
+	}
+
+	id, resp := submitJob(t, client, ts.URL, SubmitRequest{ID: "after", TaskID: gateTaskID, Candidates: gateCandidates(), Seed: 7})
+	if id == "" {
+		t.Fatalf("normal submit after rejections: HTTP %d", resp.StatusCode)
+	}
+	evs := streamEvents(t, client, ts.URL, id)
+	if fin := terminal(evs); fin == nil || fin.Status != StatusCompleted {
+		t.Fatalf("terminal = %+v, want completed", fin)
+	}
+	want := directClusters(t, 7, gateCandidates())
+	got := clusterEvents(evs)
+	if len(got) != len(want) {
+		t.Fatalf("cluster events: %d, want %d", len(got), len(want))
+	}
+	for i, cl := range want {
+		if got[i].Score != cl.Score || got[i].Fingerprint != fmt.Sprintf("%016x", cl.Fingerprint) ||
+			!reflect.DeepEqual(got[i].Members, cl.Members) {
+			t.Fatalf("cluster %d = %+v, want %+v", i, got[i], cl)
+		}
 	}
 }
 

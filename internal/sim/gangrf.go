@@ -152,16 +152,13 @@ func (g *gangRun) filterLive(m []int32) []int32 {
 
 // gangProgram lazily lowers the design's processes into the shared gang
 // program. Safe for concurrent use. Processes that cannot take the gang form
-// (boxed fallback, or constructs carrying a baked runtime error) get a nil
-// run and keep per-lane execution.
+// (constructs carrying a baked runtime error) get a nil run and keep
+// per-lane execution.
 func (d *Design) gangProgram() *gangProg {
 	d.gangOnce.Do(func() {
 		c := &gcompiler{d: d, netIdx: d.gangNetIdx}
 		prog := &gangProg{procs: make([]gproc, len(d.procs))}
 		for k, p := range d.gangProcs {
-			if p == nil || d.procArts[k].boxed {
-				continue
-			}
 			cursorMark, constMark, widMark := c.cursor, len(c.consts), c.nwids
 			c.curMask = 0
 			run, cont, err := c.compileGangProcess(p)

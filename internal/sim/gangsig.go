@@ -13,10 +13,10 @@ import "repro/internal/verilog/ast"
 // indices, frame offsets derived from widths, and constant values — so the
 // honest compatibility relation is structural:
 //
-//   - gangLayoutSigOf hashes the flattened net shapes in order (width, LSB)
-//     and the lowering mode, but not names. Equal signatures mean net index i
-//     occupies the same frame range with the same bit addressing in both
-//     designs, which is all a kernel's loads and stores depend on.
+//   - gangLayoutSigOf hashes the flattened net shapes in order (width, LSB),
+//     but not names. Equal signatures mean net index i occupies the same
+//     frame range with the same bit addressing in both designs, which is
+//     all a kernel's loads and stores depend on.
 //   - gangProcSig hashes one process with every identifier resolved the way
 //     lowering resolves it: parameters fold as their elaborated constant
 //     value, nets fold as their index. Two processes with equal signatures
@@ -63,11 +63,8 @@ const (
 // gangLayoutSigOf is the name-blind counterpart of layoutSigOf: it fixes
 // every net's index, width, declared LSB and (by accumulation over the
 // preceding widths) frame offset, without pinning hierarchical names.
-func gangLayoutSigOf(s *Simulator, forceBoxed bool) uint64 {
+func gangLayoutSigOf(s *Simulator) uint64 {
 	h := sigUint(FNVOffset64, uint64(len(s.nets)))
-	if forceBoxed {
-		h = sigUint(h, 1)
-	}
 	for _, n := range s.nets {
 		h = sigUint(h, uint64(n.width))
 		h = sigUint(h, uint64(int64(n.lsb)))
@@ -76,10 +73,10 @@ func gangLayoutSigOf(s *Simulator, forceBoxed bool) uint64 {
 }
 
 // GangClassHash folds every design-level input the SoA gang's whole-lane
-// dedup compares (laneEqual): name-blind layout, per-process signatures and
-// boxed-ness, dispatch tables, and the initial frame snapshot. Callers use
-// it to order candidates so alpha-equivalent designs land in the same gang,
-// where dedup and kernel sharing collapse them. The hash is advisory — the
+// dedup compares (laneEqual): name-blind layout, per-process signatures,
+// dispatch tables, and the initial frame snapshot. Callers use it to order
+// candidates so alpha-equivalent designs land in the same gang, where
+// dedup and kernel sharing collapse them. The hash is advisory — the
 // gang re-verifies equality field by field — so a collision costs batching
 // quality, never correctness. Computed once at compile time: the walk
 // covers the whole frame snapshot, which is too much to redo per ranking
@@ -91,9 +88,6 @@ func (d *Design) computeGangClassHash() uint64 {
 	h = sigUint(h, uint64(len(d.procArts)))
 	for k := range d.procArts {
 		h = sigUint(h, d.procArts[k].gangSig)
-		if d.procArts[k].boxed {
-			h = sigUint(h, 1)
-		}
 	}
 	for i := range d.initVal {
 		h = sigUint(h, d.initVal[i])

@@ -14,38 +14,17 @@ import (
 // two-word vector.
 var kernelWidths = []int{1, 63, 64, 65, 128}
 
-// threeWay elaborates one source on the interpreter, the PR-1 boxed
-// compiler, and the register-file compiler, and replays identical stimulus
-// on all three, requiring bit-exact four-state agreement on every output
-// after every step. It is the backbone of the width tests below and of the
-// random differential harness.
-type threeWay struct {
+// twoWay elaborates one source on the interpreter and the register-file
+// compiler and replays identical stimulus on both, requiring bit-exact
+// four-state agreement on every output after every step. It is the backbone
+// of the width tests below.
+type twoWay struct {
 	src     string
 	interp  *Simulator
 	regfile *Engine
-	boxed   *Engine
 }
 
-// compileForTest lowers src with the chosen strategy (forceBoxed drops every
-// process to the PR-1 boxed path).
-func compileForTest(t *testing.T, src, top string, forceBoxed bool) *Design {
-	t.Helper()
-	parsed, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
-	}
-	s, err := New(parsed, top)
-	if err != nil {
-		t.Fatalf("elaborate: %v\n%s", err, src)
-	}
-	d, err := compileFrom(s, forceBoxed, nil)
-	if err != nil {
-		t.Fatalf("compile(forceBoxed=%v): %v\n%s", forceBoxed, err, src)
-	}
-	return d
-}
-
-func newThreeWay(t *testing.T, src, top string) *threeWay {
+func newTwoWay(t *testing.T, src, top string) *twoWay {
 	t.Helper()
 	parsed, err := parser.Parse(src)
 	if err != nil {
@@ -55,15 +34,14 @@ func newThreeWay(t *testing.T, src, top string) *threeWay {
 	if err != nil {
 		t.Fatalf("interpreter elaborate: %v\n%s", err, src)
 	}
-	return &threeWay{
+	return &twoWay{
 		src:     src,
 		interp:  interp,
-		regfile: compileForTest(t, src, top, false).NewEngine(),
-		boxed:   compileForTest(t, src, top, true).NewEngine(),
+		regfile: compileMust(t, src, top).NewEngine(),
 	}
 }
 
-func (tw *threeWay) instances() []struct {
+func (tw *twoWay) instances() []struct {
 	name string
 	ins  Instance
 } {
@@ -73,11 +51,10 @@ func (tw *threeWay) instances() []struct {
 	}{
 		{"interpreter", tw.interp},
 		{"regfile", tw.regfile},
-		{"boxed", tw.boxed},
 	}
 }
 
-func (tw *threeWay) drive(t *testing.T, name string, v Value) {
+func (tw *twoWay) drive(t *testing.T, name string, v Value) {
 	t.Helper()
 	for _, b := range tw.instances() {
 		if err := b.ins.SetInput(name, v); err != nil {
@@ -86,7 +63,7 @@ func (tw *threeWay) drive(t *testing.T, name string, v Value) {
 	}
 }
 
-func (tw *threeWay) settle(t *testing.T) {
+func (tw *twoWay) settle(t *testing.T) {
 	t.Helper()
 	var firstErr error
 	for i, b := range tw.instances() {
@@ -102,7 +79,7 @@ func (tw *threeWay) settle(t *testing.T) {
 	}
 }
 
-func (tw *threeWay) tick(t *testing.T, clock string) {
+func (tw *twoWay) tick(t *testing.T, clock string) {
 	t.Helper()
 	var firstErr error
 	for i, b := range tw.instances() {
@@ -118,7 +95,7 @@ func (tw *threeWay) tick(t *testing.T, clock string) {
 	}
 }
 
-func (tw *threeWay) compare(t *testing.T, label string) {
+func (tw *twoWay) compare(t *testing.T, label string) {
 	t.Helper()
 	for _, out := range tw.interp.Outputs() {
 		ref, err := tw.interp.Output(out.Name)
@@ -273,7 +250,8 @@ endmodule
 }
 
 // TestKernelWidthBoundaries runs every kernel family at every boundary
-// width through all three engines under known and four-state stimulus.
+// width through the interpreter and the register file under known and
+// four-state stimulus.
 func TestKernelWidthBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	for _, tmpl := range kernelTemplates() {
@@ -283,10 +261,7 @@ func TestKernelWidthBoundaries(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s/w%d", tmpl.name, w)
 			src := tmpl.src(w)
-			tw := newThreeWay(t, src, "top_module")
-			if n := tw.regfile.Design().BoxedProcs(); n != 0 {
-				t.Errorf("%s: %d processes fell back to the boxed path", label, n)
-			}
+			tw := newTwoWay(t, src, "top_module")
 			if tmpl.seq {
 				tw.drive(t, "clk", NewKnown(1, 0))
 			}
@@ -342,7 +317,7 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 				continue // the slice-shuffling sequential templates need ≥ 2 bits
 			}
 			src := tmpl.src(w)
-			d := compileForTest(t, src, "top_module", false)
+			d := compileMust(t, src, "top_module")
 			for _, lanes := range soaLaneCounts {
 				label := fmt.Sprintf("%s/w%d/lanes%d", tmpl.name, w, lanes)
 				g := NewSoAGang(lanes, nil)
@@ -462,47 +437,67 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 	}
 }
 
-// TestKernelWidthBoundariesBoxedFallback pins the fallback boundary: a
-// dynamic [a:b] part-select cannot be statically sized, must lower via the
-// boxed path, and must still agree with the interpreter.
-func TestKernelWidthBoundariesBoxedFallback(t *testing.T) {
-	src := `
+// TestKernelWidthDynamicSelectNotCompilable pins the compile boundary: a
+// dynamic [a:b] part-select has no static width bound, so Compile and
+// CompileDelta (even over a base whose layout matches) refuse the whole
+// design with ErrNotCompilable, and the testbench runs it on the
+// interpreter instead (see its routing tests). The interpreter still runs
+// the stimulus the boxed referee used to, against a direct input slice.
+func TestKernelWidthDynamicSelectNotCompilable(t *testing.T) {
+	const tmpl = `
 module top_module (
     input [63:0] a,
     input [7:0] b,
     output [63:0] y
 );
     wire [7:0] hi = b[2:0] + 8'd7;
-    assign y = a[hi:b[2:0]];
+    assign y = %s;
 endmodule
 `
-	tw := newThreeWay(t, src, "top_module")
-	if n := tw.regfile.Design().BoxedProcs(); n == 0 {
-		t.Fatalf("dynamic [a:b] part-select should use the boxed fallback")
+	src := fmt.Sprintf(tmpl, "a[hi:b[2:0]]")
+	parsed, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, err := Compile(parsed, "top_module"); !errors.Is(err, ErrNotCompilable) {
+		t.Fatalf("Compile: got %v, want ErrNotCompilable", err)
+	}
+	base := compileMust(t, fmt.Sprintf(tmpl, "a[7:0]"), "top_module")
+	if _, err := CompileDelta(base, parsed, "top_module"); !errors.Is(err, ErrNotCompilable) {
+		t.Fatalf("CompileDelta: got %v, want ErrNotCompilable", err)
+	}
+	interp, err := New(parsed, "top_module")
+	if err != nil {
+		t.Fatalf("interpreter elaborate: %v", err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for vec := 0; vec < 12; vec++ {
-		tw.drive(t, "a", randFourState(rng, 64, 0.1))
-		tw.drive(t, "b", NewKnown(8, rng.Uint64()))
-		tw.settle(t)
-		tw.compare(t, fmt.Sprintf("vec%d", vec))
+		a := randFourState(rng, 64, 0.1)
+		b := NewKnown(8, rng.Uint64())
+		if err := interp.SetInput("a", a); err != nil {
+			t.Fatal(err)
+		}
+		if err := interp.SetInput("b", b); err != nil {
+			t.Fatal(err)
+		}
+		if err := interp.Settle(); err != nil {
+			t.Fatalf("vec%d: settle: %v", vec, err)
+		}
+		lo, _ := b.Uint64()
+		want := a.SliceBits(int(lo&7), 8).Resize(64).String()
+		if got, _ := interp.Output("y"); got.String() != want {
+			t.Fatalf("vec%d: y = %s, want %s", vec, got, want)
+		}
 	}
 }
 
-// TestRegfileCoverageOnGoldens asserts the register-file path carries the
-// real workload: every golden design in the width templates compiles with
-// zero boxed processes (the eval suite equivalent lives in internal/eval's
+// TestRegfileCoverageOnGoldens asserts the register-file compiler carries
+// the real workload: every width template compiles, none is refused with
+// ErrNotCompilable (the eval suite equivalent lives in internal/eval's
 // trace tests, which would fail loudly on semantic drift).
 func TestRegfileCoverageOnGoldens(t *testing.T) {
-	var boxed, procs int
 	for _, tmpl := range kernelTemplates() {
-		src := tmpl.src(64)
-		d := compileForTest(t, src, "top_module", false)
-		boxed += d.BoxedProcs()
-		procs += len(d.procs)
-	}
-	if boxed != 0 {
-		t.Fatalf("%d of %d template processes fell back to the boxed path", boxed, procs)
+		compileMust(t, tmpl.src(64), "top_module")
 	}
 }
 
@@ -524,7 +519,7 @@ module top_module (
     end
 endmodule
 `
-	tw := newThreeWay(t, src, "top_module")
+	tw := newTwoWay(t, src, "top_module")
 	rng := rand.New(rand.NewSource(31))
 	for vec := 0; vec < 16; vec++ {
 		tw.drive(t, "x", NewKnown(8, rng.Uint64()))
@@ -554,7 +549,7 @@ module top_module (
     assign z = x ^ 8'h55;
 endmodule
 `
-	d := compileForTest(t, src, "top_module", false)
+	d := compileMust(t, src, "top_module")
 	en := d.AcquireEngine()
 	if err := en.SetInputUint("x", 0x80); err != nil {
 		t.Fatal(err)
@@ -581,35 +576,6 @@ endmodule
 	}
 }
 
-// TestBoxedFallbackRollsBackFrameSpace guards the fallback path's frame
-// hygiene: the scratch/constant words a failed register-file attempt
-// allocated must be rolled back, so a process that drops to the boxed path
-// costs the same frame space as compiling it boxed outright.
-func TestBoxedFallbackRollsBackFrameSpace(t *testing.T) {
-	src := `
-module top_module (
-    input [63:0] a,
-    input [7:0] b,
-    output [63:0] y
-);
-    wire [63:0] big = (a * a) + {8{b}} + 64'hFFFF_FFFF_FFFF_FFFF;
-    assign y = big[b[2:0] + 8'd7:b[2:0]];
-endmodule
-`
-	mixed := compileForTest(t, src, "top_module", false)
-	boxed := compileForTest(t, src, "top_module", true)
-	if mixed.BoxedProcs() == 0 {
-		t.Fatal("expected the dynamic [a:b] select to use the boxed fallback")
-	}
-	// The failed regfile attempt on the y-process must not leave dead words
-	// behind: its frame may exceed the all-boxed frame only by the scratch
-	// of processes that DID lower to the register file (the `big` assign).
-	if mixed.FrameWords() > boxed.FrameWords()+words(64)*16 {
-		t.Fatalf("fallback leaked frame space: mixed=%d words, all-boxed=%d words",
-			mixed.FrameWords(), boxed.FrameWords())
-	}
-}
-
 // TestHugeDynamicLValueOffsetDropsWrite pins WriteBits drop semantics for
 // dynamic lvalue offsets beyond 2^32: the store offset must not be
 // truncated to 32 bits (which would wrap a far out-of-range write back
@@ -628,7 +594,7 @@ module top_module (
     end
 endmodule
 `
-	tw := newThreeWay(t, src, "top_module")
+	tw := newTwoWay(t, src, "top_module")
 	for _, iv := range []uint64{0, 3, 6, 1 << 32, 1<<32 | 2, (1 << 33) - 1} {
 		tw.drive(t, "i", NewKnown(33, iv))
 		tw.drive(t, "x", NewKnown(2, 3))
@@ -650,7 +616,7 @@ module top_module (
     assign y = a;
 endmodule
 `
-	en := compileForTest(t, src, "top_module", false).NewEngine()
+	en := compileMust(t, src, "top_module").NewEngine()
 	if err := en.SetInputUint("ghost", 1); !errors.Is(err, ErrUnknownNet) {
 		t.Errorf("SetInputUint unknown: %v", err)
 	}

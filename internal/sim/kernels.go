@@ -7,7 +7,7 @@
 // Shared invariant: a slot holding a value produced at width w has every bit
 // at or above w cleared in both planes, so a consumer that needs the value at
 // any width w' >= w can simply read w' bits — the implicit Resize of the
-// boxed backend costs nothing here. Each kernel re-establishes the invariant
+// interpreter's Values costs nothing here. Each kernel re-establishes the invariant
 // for its destination via kfinish.
 //
 // Kernels mirror the Value operations in logic.go construct by construct

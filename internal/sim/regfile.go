@@ -14,7 +14,7 @@
 // Anything without a static width bound — [a:b] part-selects with
 // non-constant bounds, indexed part-selects with non-constant widths,
 // replications with non-constant counts, capacities past maxRegCap — reports
-// errNoRegfile and the whole process drops to the boxed path in compile.go.
+// ErrNotCompilable, and Compile refuses the whole design.
 package sim
 
 import (
@@ -49,7 +49,7 @@ func (e *rexpr) planes(en *Engine) ([]uint64, []uint64) {
 // node allocates a fresh scratch slot for a kernel with capacity cap bits.
 func (c *compiler) node(cap int) (*rexpr, error) {
 	if cap > maxRegCap {
-		return nil, fmt.Errorf("%w: intermediate capacity %d bits", errNoRegfile, cap)
+		return nil, fmt.Errorf("%w: intermediate capacity %d bits", ErrNotCompilable, cap)
 	}
 	if cap < 1 {
 		cap = 1
@@ -70,7 +70,7 @@ func (c *compiler) leafConst(v Value) *rexpr {
 	}
 }
 
-// constFold extends constOf to whole constant expressions (literals,
+// constFold recognizes elaboration-time constant expressions (literals,
 // parameters, and operators over them, e.g. the ubiquitous WIDTH-1 select
 // bounds), evaluating them at compile time exactly as evalCtx would at run
 // time — same width contexts, same operator semantics — so folding is
@@ -408,7 +408,7 @@ type rtarget struct {
 }
 
 // rlval is a lowered lvalue. The total width is always static here (dynamic
-// widths fall back to the boxed path); only target offsets may be dynamic.
+// widths make the design not compilable); only target offsets may be dynamic.
 type rlval struct {
 	total   int
 	static  []rtarget                           // non-nil: fully static resolve
@@ -551,9 +551,9 @@ func (lv *rlval) isWholeNet(idx int32) bool {
 		lv.static[0].net == idx && lv.static[0].lo == 0
 }
 
-// compileRLValue lowers an lvalue. Mirrors compileLValue but produces
-// static-total-width resolvers; constructs with dynamic widths return
-// errNoRegfile.
+// compileRLValue lowers an lvalue into static-total-width resolvers, mirroring
+// Simulator.resolveLValue; constructs with dynamic widths return
+// ErrNotCompilable.
 func (c *compiler) compileRLValue(lhs ast.Expr, sc *scope) (*rlval, error) {
 	switch x := lhs.(type) {
 	case *ast.Ident:
@@ -632,9 +632,9 @@ func (c *compiler) compileRLValue(lhs ast.Expr, sc *scope) (*rlval, error) {
 			return &rlval{total: rw, static: []rtarget{t}, netIdxs: []int32{idx}}, nil
 		}
 		// Indexed part-selects with a constant width keep a static total;
-		// anything else has a dynamic lvalue width: boxed fallback.
+		// anything else has a dynamic lvalue width.
 		if x.Kind == ast.SelConst || !bConst {
-			return nil, fmt.Errorf("%w: dynamic part-select bounds", errNoRegfile)
+			return nil, fmt.Errorf("%w: dynamic part-select bounds", ErrNotCompilable)
 		}
 		wv, okw := bv.Uint64()
 		if !okw || wv == 0 {
@@ -1224,7 +1224,7 @@ func (c *compiler) compileRConcat(x *ast.Concat, sc *scope) (*rexpr, error) {
 func (c *compiler) compileRRepl(x *ast.Repl, sc *scope) (*rexpr, error) {
 	cntV, isConst := constFold(x.Count, sc)
 	if !isConst {
-		return nil, fmt.Errorf("%w: non-constant replication count", errNoRegfile)
+		return nil, fmt.Errorf("%w: non-constant replication count", ErrNotCompilable)
 	}
 	child, err := c.compileRExpr(x.Value, sc, 0)
 	if err != nil {
@@ -1260,6 +1260,17 @@ func (c *compiler) compileRRepl(x *ast.Repl, sc *scope) (*rexpr, error) {
 		return int32(cnt) * wv, nil
 	}
 	return out, nil
+}
+
+// exprBaseLSB resolves the declared LSB of a select's base expression, which
+// only identifiers that name nets carry (everything else reads from bit 0).
+func exprBaseLSB(e ast.Expr, sc *scope) int {
+	if id, ok := e.(*ast.Ident); ok {
+		if n, ok2 := sc.lookupNet(id.Name); ok2 {
+			return n.lsb
+		}
+	}
+	return 0
 }
 
 func (c *compiler) compileRIndex(x *ast.Index, sc *scope) (*rexpr, error) {
@@ -1347,9 +1358,9 @@ func (c *compiler) compileRPartSel(x *ast.PartSel, sc *scope) (*rexpr, error) {
 		return out, nil
 	}
 	// Indexed part-selects with constant width stay static-width; everything
-	// else is dynamically sized and falls back to the boxed path.
+	// else is dynamically sized.
 	if x.Kind == ast.SelConst || !bConst {
-		return nil, fmt.Errorf("%w: dynamic part-select bounds", errNoRegfile)
+		return nil, fmt.Errorf("%w: dynamic part-select bounds", ErrNotCompilable)
 	}
 	wv, okw := bv.Uint64()
 	if !okw || wv == 0 {

@@ -212,9 +212,9 @@ func (sg *SoAGang) Hash(id int) uint64 {
 }
 
 // laneEqual reports whether lanes a and b are the same machine: identical
-// name-blind net layout, identical process signature and boxed-ness at every
-// pid, identical dispatch tables (level and edge fanout are proc-id lists
-// built in structural order, so they carry sensitivity information the body
+// name-blind net layout, identical process signature at every pid,
+// identical dispatch tables (level and edge fanout are proc-id lists built
+// in structural order, so they carry sensitivity information the body
 // signatures deliberately omit), identical initial frame snapshot (which also
 // covers initial-block effects and the constant pool), and identical port
 // binding. Equal lanes compute bit-identical trajectories on the shared
@@ -246,8 +246,7 @@ func (sg *SoAGang) laneEqual(a, b int32) bool {
 		return false
 	}
 	for k := range dx.procArts {
-		if dx.procArts[k].gangSig != dy.procArts[k].gangSig ||
-			dx.procArts[k].boxed != dy.procArts[k].boxed {
+		if dx.procArts[k].gangSig != dy.procArts[k].gangSig {
 			return false
 		}
 	}

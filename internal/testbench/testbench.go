@@ -798,12 +798,18 @@ type instSource struct {
 	d   *sim.Design // nil selects the interpreter
 }
 
+// newInstSource resolves the backend for one run. A design the compiler
+// refuses with sim.ErrNotCompilable (no static width bound) runs whole on
+// the interpreter; every other compile error fails the run.
 func newInstSource(src *ast.Source, top string, backend Backend) (instSource, error) {
 	is := instSource{src: src, top: top}
 	if backend == BackendInterpreter {
 		return is, nil
 	}
 	d, err := sim.CompileCached(src, top)
+	if errors.Is(err, sim.ErrNotCompilable) {
+		return is, nil
+	}
 	if err != nil {
 		return is, err
 	}
