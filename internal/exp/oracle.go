@@ -128,41 +128,23 @@ func (o *Oracle) prepare(taskID string) (*testbench.Stimulus, *testbench.FPTrace
 
 // Verify reports whether candidate code is functionally correct for the
 // task: it must parse and match the golden behavior on every verification
-// case.
+// case. It is a one-candidate VerifyBatch.
 func (o *Oracle) Verify(taskID, code string) (bool, error) {
-	key := verdictKey{taskID: taskID, code: hashCode(code)}
-	o.mu.Lock()
-	if v, hit := o.verdicts[key]; hit {
-		o.mu.Unlock()
-		return v, nil
-	}
-	o.mu.Unlock()
-
-	st, golden, goldenTr, err := o.prepare(taskID)
+	v, err := o.VerifyBatch(taskID, []string{code})
 	if err != nil {
 		return false, err
 	}
-	verdict := false
-	if src, perr := eval.ParseCached(code); perr == nil && src.FindModule(eval.TopModule) != nil {
-		if o.LegacyTraces && goldenTr != nil {
-			tr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
-			verdict = tr.Err == nil && testbench.Agrees(tr, goldenTr)
-		} else {
-			tr := testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
-			verdict = tr.Err == nil && testbench.FPAgrees(tr, golden)
-		}
-	}
-	o.mu.Lock()
-	o.verdicts[key] = verdict
-	o.mu.Unlock()
-	return verdict, nil
+	return v[0], nil
 }
 
-// VerifyBatch is Verify over a batch of candidates for one task: verdicts
-// are identical to per-candidate Verify calls, but all unverified
-// parseable candidates are simulated as one gang over the shared dense
-// verification stimulus, with the compiled golden as delta-compilation
-// base. The legacy-trace referee path stays per-candidate.
+// VerifyBatch scores a batch of candidates for one task: each verdict is
+// whether the candidate parses, contains the top module, and matches the
+// golden fingerprints on every verification case. All unverified parseable
+// candidates are simulated as one gang over the shared dense verification
+// stimulus (testbench.VerifyGang), with the compiled golden as
+// delta-compilation base; a candidate stops simulating at its first case
+// that disagrees with the golden. The legacy-trace referee path stays
+// per-candidate on full printed traces.
 func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 	out := make([]bool, len(codes))
 	keys := make([]verdictKey, len(codes))
@@ -194,14 +176,10 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, goldenTr)
 			}
 		} else {
-			srcs := make([]*ast.Source, len(pending))
+			gangSrcs := make([]*ast.Source, 0, len(pending))
+			gangAt := make([]int, 0, len(pending))
 			for k, i := range pending {
-				srcs[k] = mustParse(codes[i])
-			}
-			gangSrcs := make([]*ast.Source, 0, len(srcs))
-			gangAt := make([]int, 0, len(srcs))
-			for k, src := range srcs {
-				if src != nil {
+				if src := mustParse(codes[i]); src != nil {
 					gangSrcs = append(gangSrcs, src)
 					gangAt = append(gangAt, k)
 				}
@@ -213,10 +191,9 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 			if o.PerLaneGang {
 				mode = testbench.GangPerLane
 			}
-			trs := testbench.RunFingerprintGangMode(gangSrcs, eval.TopModule, st, o.Backend, base, mode)
+			ok := testbench.VerifyGang(gangSrcs, eval.TopModule, st, o.Backend, base, mode, golden)
 			for j, k := range gangAt {
-				tr := trs[j]
-				verdicts[k] = tr.Err == nil && testbench.FPAgrees(tr, golden)
+				verdicts[k] = ok[j]
 			}
 		}
 		o.mu.Lock()
@@ -235,7 +212,7 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 }
 
 // mustParse returns the parsed source when the code is a valid candidate
-// containing the top module, else nil (verdict false, as in Verify).
+// containing the top module, else nil (verdict false).
 func mustParse(code string) *ast.Source {
 	src, err := eval.ParseCached(code)
 	if err != nil || src.FindModule(eval.TopModule) == nil {

@@ -71,9 +71,9 @@ type Table1Result struct {
 // taskRunOutcome records one task under one run for one model.
 type taskRunOutcome struct {
 	taskID   string
+	run      int
 	category eval.Category
 	correct  int // correct candidates among the baseline pool
-	n        int
 	vrank    bool
 	preVRank bool
 	vfocus   bool
@@ -164,12 +164,13 @@ func runModelOutcomes(ctx context.Context, cfg Table1Config, oracle *Oracle, mod
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	// Deterministic order for reproducible aggregation.
+	// Deterministic (task, run) order, whichever worker finished first:
+	// MeanPassAtK sums floats, so the order fixes the aggregate's bits.
 	sort.Slice(outcomes, func(a, b int) bool {
 		if outcomes[a].taskID != outcomes[b].taskID {
 			return outcomes[a].taskID < outcomes[b].taskID
 		}
-		return outcomes[a].n < outcomes[b].n
+		return outcomes[a].run < outcomes[b].run
 	})
 	return outcomes, nil
 }
@@ -177,7 +178,7 @@ func runModelOutcomes(ctx context.Context, cfg Table1Config, oracle *Oracle, mod
 // evalTaskRun evaluates one (task, run): baseline correctness counts plus
 // the three frameworks' final picks.
 func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile llm.Profile, task eval.Task, run int) (taskRunOutcome, error) {
-	out := taskRunOutcome{taskID: task.ID, category: task.Category, n: cfg.Samples}
+	out := taskRunOutcome{taskID: task.ID, run: run, category: task.Category}
 	clientSeed := cfg.Seed + int64(run)*1009
 	client, err := mintClient(cfg.NewClient, profile, clientSeed, []eval.Task{task})
 	if err != nil {

@@ -120,6 +120,33 @@ func (g *Gang) Advance() {
 	g.live = g.live[:n]
 }
 
+// Retire drops lane id from the live set at a case boundary with err as its
+// terminal error, exactly as Advance retires a lane that fails: its engine
+// returns to the pool and it takes no further part in the gang. Retiring a
+// lane that already stopped is a no-op.
+func (g *Gang) Retire(id int, err error) {
+	ln := &g.lanes[id]
+	if ln.err != nil {
+		return
+	}
+	ln.err = err
+	if ln.en != nil {
+		ln.d.ReleaseEngine(ln.en)
+		ln.en = nil
+	}
+	g.live = dropLive(g.live, int32(id))
+}
+
+// dropLive removes id from the ordered live list in place.
+func dropLive(live []int32, id int32) []int32 {
+	for i, l := range live {
+		if l == id {
+			return append(live[:i], live[i+1:]...)
+		}
+	}
+	return live
+}
+
 // HashOutput folds output column col at the given rendering width into every
 // live lane's case fingerprint, followed by the newline separator — the same
 // byte stream the solo scheduled fingerprint run folds.

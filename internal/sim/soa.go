@@ -619,6 +619,26 @@ func (sg *SoAGang) Advance() {
 	sg.run.anyFailed = false
 }
 
+// Retire drops lane id from the live set at a case boundary with err as its
+// terminal error, exactly as Advance compacts a failed lane: it leaves every
+// mask and its plane block is never touched again, so survivors' planes and
+// fingerprints are unaffected. A mirror resolves to its leader — the two are
+// the same machine — so retiring either retires the whole class. Retiring a
+// lane that already stopped is a no-op.
+func (sg *SoAGang) Retire(id int, err error) {
+	if !sg.sealed {
+		sg.seal()
+	}
+	if sg.mirror[id] >= 0 {
+		id = int(sg.mirror[id])
+	}
+	if sg.run.laneErr[id] != nil {
+		return
+	}
+	sg.run.laneErr[id] = err
+	sg.live = dropLive(sg.live, int32(id))
+}
+
 // settleAll replays each live lane's solo Settle loop in merged lockstep:
 // per pass, every lane takes at most one action in solo priority order
 // (dispatch changes > run active batch > apply NBAs), with per-lane action

@@ -16,17 +16,20 @@ import (
 //
 // A compiled fingerprint run is a pure function of (Design, Stimulus): the
 // design fixes behavior, the stimulus fixes drives, and FPTrace records
-// nothing else. Both keys are process-wide cached objects (sim.DefaultCache,
-// the stimulus memo), so identical pairs recur constantly — the same
-// candidate ranked under three pipeline variants, verified against the same
-// dense stimulus across runs, re-simulated per bench iteration. The memo is
-// single-flight (claim/publish/wait) so concurrent gangs and solo runs never
-// duplicate a run, and LRU-bounded with in-flight entries pinned, following
-// the discipline of the compile and bind caches.
+// nothing else. The memo keys the design by its content hash
+// (sim.Design.CanonicalHash, the persistent store's key too) and the
+// stimulus by identity (a process-wide cached object), so identical pairs
+// recur constantly — the same candidate ranked under three pipeline
+// variants, re-simulated per bench iteration, recompiled after compile-cache
+// eviction — and the memo pins no design. The memo is single-flight
+// (claim/publish/wait) so concurrent gangs and solo runs never duplicate a
+// run, and LRU-bounded with in-flight entries pinned, following the
+// discipline of the compile and bind caches. Verification (VerifyGang)
+// stays outside it: its traces stop at the first disagreeing case.
 
 type fpKey struct {
-	d  *sim.Design
-	st *Stimulus
+	design string // sim.Design.CanonicalHash
+	st     *Stimulus
 }
 
 // fpEntry is one single-flight memo slot. claim marks the caller as the
@@ -159,10 +162,9 @@ func fpPushFront(e *fpEntry) {
 	fpLen++
 }
 
-// DefaultFPMemoCap is the memory tier's default entry bound. A
-// verification-grade FPTrace is a few hundred uint64s, so the memo tops
-// out around a few megabytes; like the bind memo, its strong design keys
-// pin at most one LRU's worth of designs.
+// DefaultFPMemoCap is the memory tier's default entry bound. An FPTrace is
+// at most a few hundred uint64s, so the memo tops out around a few
+// megabytes; its keys are content hashes, so it pins no designs.
 const DefaultFPMemoCap = 4096
 
 // fpMemoCap bounds retained traces; guarded by fpMu, sized by SetFPMemoCap.
@@ -209,9 +211,11 @@ func fpEvictLocked() {
 }
 
 // fpClaim returns the memo entry for (d, st), inserting a fresh unclaimed
-// one on a miss. Eviction skips entries whose run is still in flight.
+// one on a miss. Eviction skips entries whose run is still in flight. d
+// must come from the compile cache, which gives every design its content
+// hash.
 func fpClaim(d *sim.Design, st *Stimulus) *fpEntry {
-	key := fpKey{d: d, st: st}
+	key := fpKey{design: d.CanonicalHash(), st: st}
 	fpMu.Lock()
 	defer fpMu.Unlock()
 	if e, hit := fpMemo[key]; hit {
@@ -235,7 +239,7 @@ func fpClaim(d *sim.Design, st *Stimulus) *fpEntry {
 type gangLane struct {
 	src *ast.Source
 	d   *sim.Design
-	e   *fpEntry // nil when the caller bypasses the memo (tests)
+	e   *fpEntry // nil when the caller bypasses the memo (verification, tests)
 	tr  *FPTrace
 }
 
@@ -263,6 +267,7 @@ type laneGang interface {
 	Drive(pos int, v sim.Value)
 	Advance()
 	HashOutput(col, width int)
+	Retire(id int, err error)
 	Close()
 }
 
@@ -323,6 +328,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 	}
 	type waiter struct {
 		i int
+		d *sim.Design
 		e *fpEntry
 	}
 	var waits []waiter
@@ -347,7 +353,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 			// Resolved, or in flight elsewhere — possibly by an earlier
 			// lane of this very batch (duplicate designs). Collect after
 			// the gang runs so intra-batch duplicates cannot deadlock.
-			waits = append(waits, waiter{i: i, e: e})
+			waits = append(waits, waiter{i: i, d: d, e: e})
 			continue
 		}
 		// The claim is this key's single flight across tiers: consult the
@@ -361,7 +367,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		lanes = append(lanes, gangLane{src: src, d: d, e: e})
 		laneIdx = append(laneIdx, i)
 	}
-	if err := runGangLanesCtx(ctx, lanes, top, st, backend, base, mode); err != nil {
+	if err := runGangLanesCtx(ctx, lanes, top, st, backend, base, mode, nil); err != nil {
 		abortLanes(lanes)
 		return nil, err
 	}
@@ -381,13 +387,68 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		if adopted {
 			// The claim's previous owner aborted (cancelled or crashed
 			// elsewhere); this batch inherits the slot and computes solo.
-			if tr, err = runFingerprintOwned(ctx, w.e, srcs[w.i], top, st, backend); err != nil {
+			if tr, err = runFingerprintOwned(ctx, w.e, w.d, srcs[w.i], top, st, backend); err != nil {
 				return nil, err
 			}
 		}
 		out[w.i] = tr
 	}
 	return out, nil
+}
+
+// VerifyGang reports, per candidate, whether it runs cleanly and agrees
+// with golden on every case of st — exactly tr.Err == nil &&
+// FPAgrees(tr, golden) over the candidate's full fingerprint trace — but
+// the lockstep walk retires a candidate at its first case that disagrees,
+// since the rest of its trace cannot change the verdict. Those truncated
+// traces never leave this call: verification neither reads nor writes the
+// fingerprint memo or the result store. Candidates that cannot join the
+// walk (compile errors, failed bindings, irregular stimuli, the interpreter
+// backend, a crashed walk) run solo to a full trace judged by FPAgrees.
+// base seeds delta compilation as in RunFingerprintGang.
+func VerifyGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, golden *FPTrace) []bool {
+	out := make([]bool, len(srcs))
+	if golden.Err != nil || len(golden.CaseFPs) != len(st.Cases) {
+		// A clean candidate completes every case, so it can agree with
+		// neither an errored nor a short reference.
+		return out
+	}
+	judge := func(tr *FPTrace) bool { return tr.Err == nil && FPAgrees(tr, golden) }
+	if backend == BackendInterpreter {
+		for i, src := range srcs {
+			out[i] = judge(runFingerprintSolo(src, top, st, backend))
+		}
+		return out
+	}
+	laneOf := make([]int, len(srcs)) // candidate -> lane, -1 when judged solo
+	lanes := make([]gangLane, 0, len(srcs))
+	byDesign := make(map[*sim.Design]int, len(srcs))
+	for i, src := range srcs {
+		laneOf[i] = -1
+		d, err := sim.CompileDeltaCached(base, src, top)
+		if err != nil {
+			out[i] = judge(runFingerprintSolo(src, top, st, backend))
+			continue
+		}
+		if base == nil {
+			base = d
+		}
+		// Canonically equal candidates share one design and one lane.
+		k, dup := byDesign[d]
+		if !dup {
+			k = len(lanes)
+			byDesign[d] = k
+			lanes = append(lanes, gangLane{src: src, d: d})
+		}
+		laneOf[i] = k
+	}
+	runGangLanes(lanes, top, st, backend, base, mode, golden.CaseFPs)
+	for i, k := range laneOf {
+		if k >= 0 {
+			out[i] = judge(lanes[k].tr)
+		}
+	}
+	return out
 }
 
 // abortLanes releases the memo claims of every unresolved lane after a
@@ -416,10 +477,10 @@ func finishLane(ln *gangLane, tr *FPTrace) {
 	}
 }
 
-// runGangLanes is runGangLanesCtx without cancellation (tests drive it
-// directly with memo-bypassing lanes).
-func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) {
-	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, base, mode); err != nil {
+// runGangLanes is runGangLanesCtx without cancellation (verification, and
+// tests driving memo-bypassing lanes directly).
+func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, want []uint64) {
+	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, base, mode, want); err != nil {
 		panic(err) // unreachable: a background context never cancels
 	}
 }
@@ -431,15 +492,17 @@ func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, b
 // walk observes ctx between test cases; on cancellation it returns the
 // ctx error with unresolved lanes left untouched for the caller to abort.
 // A panic anywhere in the lockstep walk is confined: every unresolved lane
-// re-runs solo, isolating the crash to the candidate that caused it.
-func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) error {
+// re-runs solo, isolating the crash to the candidate that caused it. A
+// non-nil want (one fingerprint per case) retires each lockstep lane at its
+// first case that disagrees with it; see runGangLockstep.
+func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, want []uint64) error {
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%w: %v", errGangCrashed, r)
 			}
 		}()
-		return runGangLockstep(ctx, lanes, top, st, backend, base, mode)
+		return runGangLockstep(ctx, lanes, top, st, backend, base, mode, want)
 	}()
 	if err == nil || !errors.Is(err, errGangCrashed) {
 		return err // nil, or a context error the caller unwinds
@@ -465,9 +528,17 @@ func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stim
 // never leaves runGangLanesCtx.
 var errGangCrashed = errors.New("gang walk crashed")
 
+// errDiverged retires a verification lane whose case fingerprint differs
+// from the reference's: the rest of its trace cannot change the verdict.
+var errDiverged = errors.New("diverged from the reference")
+
 // runGangLockstep is the lockstep walk proper: bind every lane, then drive
-// all lanes through the shared schedule case by case.
-func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) error {
+// all lanes through the shared schedule case by case. With a non-nil want
+// (the reference's per-case fingerprints) a lane that disagrees with
+// want[ci] after case ci is retired with errDiverged, so its trace stops
+// there — such truncated traces must never be published. Ranking passes
+// nil and every lane runs every case.
+func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, want []uint64) error {
 	sched := st.schedule()
 
 	var g laneGang
@@ -568,8 +639,13 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 		// records the case fingerprint only if it survived the whole case,
 		// exactly like the solo per-case append.
 		for k := range gangOf {
-			if g.Err(k) == nil {
-				caseFPs[k] = append(caseFPs[k], g.Hash(k))
+			if g.Err(k) != nil {
+				continue
+			}
+			h := g.Hash(k)
+			caseFPs[k] = append(caseFPs[k], h)
+			if want != nil && h != want[ci] {
+				g.Retire(k, errDiverged)
 			}
 		}
 	}

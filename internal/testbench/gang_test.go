@@ -134,7 +134,7 @@ func TestGangLanesMatchSolo(t *testing.T) {
 					}
 					lanes = append(lanes, gangLane{src: parsed[i], d: d})
 				}
-				runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode)
+				runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode, nil)
 				for i := range lanes {
 					solo := runFingerprintSolo(parsed[i], "top_module", st, BackendCompiled)
 					fpTraceEqual(t, tc.name+"/lane", lanes[i].tr, solo)
@@ -164,7 +164,7 @@ func TestGangLanesIrregularStimulusFallsBack(t *testing.T) {
 	}
 	for _, gm := range gangModes {
 		lanes := []gangLane{{src: src, d: d}}
-		runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode)
+		runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode, nil)
 		fpTraceEqual(t, "irregular/"+gm.name, lanes[0].tr, runFingerprintSolo(src, "top_module", st, BackendCompiled))
 	}
 }

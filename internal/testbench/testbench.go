@@ -945,13 +945,12 @@ func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Tra
 // exactly as in RunBackend, and every fingerprint equals the one the printed
 // trace of the same run would produce.
 //
-// Compiled runs are memoized process-wide by (design, stimulus) identity —
-// both are themselves process-wide cached objects, and the experiment
-// drivers re-run the same candidate under the same stimulus across ranking
-// variants, refinement passes, verification pools and bench iterations. The
-// returned trace is shared and pre-warmed; callers treat it as read-only
-// (exactly as ranking already shares one FPTrace across duplicate
-// candidates).
+// Compiled runs are memoized process-wide by (design content hash, stimulus
+// identity) — the experiment drivers re-run the same candidate under the
+// same stimulus across ranking variants, refinement passes and bench
+// iterations. The returned trace is shared and pre-warmed; callers treat it
+// as read-only (exactly as ranking already shares one FPTrace across
+// duplicate candidates).
 func RunFingerprint(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
 	tr, err := RunFingerprintCtx(context.Background(), src, top, st, backend)
 	if err != nil {
@@ -970,7 +969,7 @@ func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Sti
 		if d, err := sim.CompileCached(src, top); err == nil {
 			e := fpClaim(d, st)
 			if e.claim() {
-				return runFingerprintOwned(ctx, e, src, top, st, backend)
+				return runFingerprintOwned(ctx, e, d, src, top, st, backend)
 			}
 			tr, adopted, err := e.wait(ctx)
 			if err != nil {
@@ -979,7 +978,7 @@ func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Sti
 			if adopted {
 				// The previous owner aborted; this caller inherits the
 				// claim and computes the entry itself.
-				return runFingerprintOwned(ctx, e, src, top, st, backend)
+				return runFingerprintOwned(ctx, e, d, src, top, st, backend)
 			}
 			return tr, nil
 		}
@@ -992,8 +991,9 @@ func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Sti
 // runFingerprintOwned computes a claimed memo entry's trace solo and then
 // resolves the claim: clean runs and deterministic run errors publish,
 // while cancellation and recovered crashes abort — releasing the claim and
-// waking waiters — so the memo never retains a transient fault.
-func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
+// waking waiters — so the memo never retains a transient fault. d is the
+// compiled src, whose content hash addresses the persistent store.
+func runFingerprintOwned(ctx context.Context, e *fpEntry, d *sim.Design, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
 	published := false
 	defer func() {
 		if !published {
@@ -1003,7 +1003,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 	// The claim is held, so this is the key's single flight across every
 	// tier: probe the persistent store first and publish a hit without
 	// simulating at all.
-	if tr := storeLookup(ctx, e.key.d, st); tr != nil {
+	if tr := storeLookup(ctx, d, st); tr != nil {
 		e.publish(tr)
 		published = true
 		return tr, nil
@@ -1015,7 +1015,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 	if tr.Err == nil || !errors.Is(tr.Err, ErrSimPanic) {
 		e.publish(tr)
 		published = true
-		storePut(ctx, e.key.d, st, tr)
+		storePut(ctx, d, st, tr)
 	}
 	return tr, nil
 }
@@ -1187,14 +1187,10 @@ func runCaseFP(s sim.Instance, st *Stimulus, c *Case) (uint64, error) {
 
 // Verify runs the stimulus on both a candidate and a reference design and
 // reports whether their behaviors agree exactly on every case. Agreement is
-// defined over trace fingerprints (as in the ranking stage), so the check
-// runs on the allocation-free streaming path; verdicts are identical to
-// comparing full printed traces.
+// defined over trace fingerprints (as in the ranking stage), so verdicts are
+// identical to comparing full printed traces; the candidate runs through
+// VerifyGang and stops at its first disagreeing case.
 func Verify(candidate, golden *ast.Source, top string, st *Stimulus) bool {
-	ct := RunFingerprint(candidate, top, st, BackendCompiled)
-	if ct.Err != nil {
-		return false
-	}
 	gt := RunFingerprint(golden, top, st, BackendCompiled)
-	return FPAgrees(ct, gt)
+	return VerifyGang([]*ast.Source{candidate}, top, st, BackendCompiled, nil, GangSoA, gt)[0]
 }
