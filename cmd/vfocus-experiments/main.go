@@ -47,7 +47,6 @@ func run(args []string) error {
 		samples   = fs.Int("samples", 0, "override sample count n (0 = paper defaults)")
 		backend   = fs.String("backend", "compiled", "simulation backend: compiled|interpreter")
 		legacy    = fs.Bool("legacy-traces", false, "rank and verify on the retained printed-trace path instead of streaming fingerprints (identical results; for differential benchmarking)")
-		soa       = fs.Bool("soa", true, "share struct-of-arrays planes across gang lanes (off: per-lane engines; identical results)")
 		workers   = fs.Int("workers", core.DefaultWorkers(), "task-level worker pool size")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -142,7 +141,6 @@ func run(args []string) error {
 			Workers:      *workers,
 			Backend:      be,
 			LegacyTraces: *legacy,
-			PerLaneGang:  !*soa,
 			FPMemoCap:    *memoCap,
 			NewClient:    newClient,
 			LLMRetries:   llmf.Retries,
@@ -166,7 +164,6 @@ func run(args []string) error {
 			Workers:      *workers,
 			Backend:      be,
 			LegacyTraces: *legacy,
-			PerLaneGang:  !*soa,
 			FPMemoCap:    *memoCap,
 			NewClient:    newClient,
 		}
@@ -193,7 +190,6 @@ func run(args []string) error {
 			Workers:      *workers,
 			Backend:      be,
 			LegacyTraces: *legacy,
-			PerLaneGang:  !*soa,
 			FPMemoCap:    *memoCap,
 			NewClient:    newClient,
 			LLMRetries:   llmf.Retries,

@@ -125,12 +125,6 @@ type Config struct {
 	// bit-identical for any value. Zero selects DefaultGangSize; 1 degrades
 	// to solo runs. Ignored on the legacy-trace path.
 	GangSize int
-	// PerLaneGang forces ranking gangs onto the per-lane engine model
-	// (testbench.GangPerLane): every lane owns a private engine instead of
-	// sharing the gang's struct-of-arrays planes. The default (false) runs
-	// the SoA model. Both produce bit-identical results; the per-lane model
-	// is kept as an escape hatch and differential referee.
-	PerLaneGang bool
 	// LegacyTraces forces the ranking stage onto the retained string-trace
 	// path: every candidate keeps a full printed Trace and clustering
 	// re-derives fingerprints from it. The default (false) streams

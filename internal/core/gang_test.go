@@ -13,7 +13,7 @@ import (
 // worker count and testbench seed, and returns the full result. legacy
 // selects the retained printed-trace path, which bypasses both the gang and
 // the fingerprint memo — the independent referee.
-func runWithGang(t *testing.T, task eval.Task, gangSize, workers int, tbSeed int64, legacy bool, perLane bool) *Result {
+func runWithGang(t *testing.T, task eval.Task, gangSize, workers int, tbSeed int64, legacy bool) *Result {
 	t.Helper()
 	profile, err := llm.ProfileByName("qwq-32b")
 	if err != nil {
@@ -30,7 +30,6 @@ func runWithGang(t *testing.T, task eval.Task, gangSize, workers int, tbSeed int
 	cfg.Workers = workers
 	cfg.TBSeed = tbSeed
 	cfg.LegacyTraces = legacy
-	cfg.PerLaneGang = perLane
 	res, err := New(client, cfg).Run(context.Background(), task)
 	if err != nil {
 		t.Fatal(err)
@@ -39,25 +38,20 @@ func runWithGang(t *testing.T, task eval.Task, gangSize, workers int, tbSeed int
 }
 
 // TestRankGangMatchesLegacyReferee is the acceptance gate for gang-batched
-// ranking, in both gang execution models. For each (gang size, mode) a fresh
-// testbench seed makes the gang run the first to ever simulate those
-// (design, stimulus) pairs — so the gang genuinely drives its lanes rather
-// than reading the fingerprint memo — and the retained printed-trace path
-// (no gang, no memo) referees every pipeline decision.
+// ranking. For each gang size a fresh testbench seed makes the gang run the
+// first to ever simulate those (design, stimulus) pairs — so the gang
+// genuinely drives its lanes rather than reading the fingerprint memo — and
+// the retained printed-trace path (no gang, no memo) referees every pipeline
+// decision.
 func TestRankGangMatchesLegacyReferee(t *testing.T) {
 	tasks := eval.Suite()
 	for _, idx := range []int{10, 60, 120} {
 		task := tasks[idx]
-		for _, perLane := range []bool{false, true} {
-			for _, gangSize := range []int{2, DefaultGangSize, 64} {
-				seed := int64(7000 + 10*idx + gangSize)
-				if perLane {
-					seed += 500000 // fresh stimuli: the SoA rows already warmed these seeds' memos
-				}
-				gang := runWithGang(t, task, gangSize, 4, seed, false, perLane)
-				legacy := runWithGang(t, task, 1, 1, seed, true, perLane)
-				assertSameDecisions(t, task.ID, legacy, gang)
-			}
+		for _, gangSize := range []int{2, DefaultGangSize, 64} {
+			seed := int64(7000 + 10*idx + gangSize)
+			gang := runWithGang(t, task, gangSize, 4, seed, false)
+			legacy := runWithGang(t, task, 1, 1, seed, true)
+			assertSameDecisions(t, task.ID, legacy, gang)
 		}
 	}
 }
@@ -68,10 +62,10 @@ func TestRankGangMatchesLegacyReferee(t *testing.T) {
 // and result assembly all still run per configuration).
 func TestRankGangSizeDeterministic(t *testing.T) {
 	task := eval.Suite()[30]
-	ref := runWithGang(t, task, 1, 1, 8117, false, false)
+	ref := runWithGang(t, task, 1, 1, 8117, false)
 	for _, gangSize := range []int{2, DefaultGangSize, 64} {
 		for _, workers := range []int{1, 4} {
-			got := runWithGang(t, task, gangSize, workers, 8117, false, false)
+			got := runWithGang(t, task, gangSize, workers, 8117, false)
 			if got.Final != ref.Final || got.FinalIndex != ref.FinalIndex {
 				t.Fatalf("final pick diverges with GangSize=%d Workers=%d", gangSize, workers)
 			}

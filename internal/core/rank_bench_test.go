@@ -72,9 +72,9 @@ func benchRankStage(b *testing.B, legacy bool, workers int) {
 // every iteration ranks the same candidate pool under a never-before-seen
 // testbench seed, so the fingerprint memo, the stimulus schedule, and the
 // binding cache all miss and every gang lane genuinely simulates. Compile
-// caches stay warm (the candidates never change), so the difference between
-// the gang execution models is pure lane execution.
-func benchRankStageCold(b *testing.B, perLane bool) {
+// caches stay warm (the candidates never change), so the row measures lane
+// execution.
+func benchRankStageCold(b *testing.B) {
 	b.Helper()
 	task := eval.Suite()[120]
 	profile, err := llm.ProfileByName("qwq-32b")
@@ -90,7 +90,6 @@ func benchRankStageCold(b *testing.B, perLane bool) {
 	cfg.RetryBaseDelay = 0
 	cfg.Workers = 1
 	cfg.GangSize = DefaultGangSize
-	cfg.PerLaneGang = perLane
 	pipe := New(client, cfg)
 
 	cands := make([]Candidate, 0, cfg.Samples)
@@ -115,9 +114,6 @@ func benchRankStageCold(b *testing.B, perLane bool) {
 	// A seed base far from every other test and benchmark in the package, so
 	// the per-iteration stimuli are truly first-run.
 	seedBase := int64(40_000_000)
-	if perLane {
-		seedBase = 50_000_000
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -221,13 +217,12 @@ func benchRankStageDiskWarm(b *testing.B) {
 
 // BenchmarkRankStage measures the ranking stage on the default streaming
 // fingerprint path and on the legacy retained-trace path, sequentially and
-// on a worker pool. The cold rows bypass every post-compile memo so they
-// compare the two gang execution models on honest simulation work.
+// on a worker pool. The cold row bypasses every post-compile memo so it
+// measures honest simulation work.
 func BenchmarkRankStage(b *testing.B) {
 	b.Run("fingerprint", func(b *testing.B) { benchRankStage(b, false, 1) })
 	b.Run("legacy", func(b *testing.B) { benchRankStage(b, true, 1) })
 	b.Run("fingerprint-workers", func(b *testing.B) { benchRankStage(b, false, DefaultWorkers()) })
-	b.Run("cold", func(b *testing.B) { benchRankStageCold(b, false) })
-	b.Run("cold-perlane", func(b *testing.B) { benchRankStageCold(b, true) })
+	b.Run("cold", func(b *testing.B) { benchRankStageCold(b) })
 	b.Run("disk-warm", func(b *testing.B) { benchRankStageDiskWarm(b) })
 }

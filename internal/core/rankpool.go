@@ -24,8 +24,6 @@ type RankPoolConfig struct {
 	Workers int
 	// GangSize is the lockstep gang width; zero selects DefaultGangSize.
 	GangSize int
-	// PerLaneGang selects the per-lane referee gang model over SoA.
-	PerLaneGang bool
 	// LegacyTraces retains full printed traces instead of fingerprints.
 	LegacyTraces bool
 	// Golden, when set, anchors delta compilation and the shared SoA
@@ -111,6 +109,12 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	if gang <= 0 {
 		gang = DefaultGangSize
 	}
+	// A gang at least as wide as the pool is one unit. Clamping keeps the
+	// unit arithmetic below from overflowing on a huge requested width
+	// (the daemon forwards gang_size from the request unchecked).
+	if gang > len(jobs) {
+		gang = max(len(jobs), 1)
+	}
 	if cfg.LegacyTraces {
 		nUnits = len(jobs)
 		traces = make([]*testbench.Trace, len(jobs))
@@ -131,10 +135,6 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	} else {
 		nUnits = (len(jobs) + gang - 1) / gang
 		fps = make([]*testbench.FPTrace, len(jobs))
-		mode := testbench.GangSoA
-		if cfg.PerLaneGang {
-			mode = testbench.GangPerLane
-		}
 		// The compiled golden anchors every gang: it is the delta-compilation
 		// base for candidate lanes AND the owner of the shared SoA program.
 		// Candidates habitually rename internal registers while keeping whole
@@ -210,7 +210,7 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 				}
 			}()
 			faultinject.Fire(faultinject.PointRankBatch, "")
-			batch, err := testbench.RunFingerprintGangModeCtx(ctx, jobs[lo:hi], eval.TopModule, st, cfg.Backend, base, mode)
+			batch, err := testbench.RunFingerprintGangCtx(ctx, jobs[lo:hi], eval.TopModule, st, cfg.Backend, base)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -203,5 +204,33 @@ func TestRankPoolDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankPoolHugeGangSize: a gang wider than the pool is one unit, so a
+// width of 1<<40 or math.MaxInt (which the daemon accepts from a request's
+// gang_size) must rank to the same clusters as the default width instead of
+// overflowing the batch arithmetic.
+func TestRankPoolHugeGangSize(t *testing.T) {
+	task, golden, srcs := gatePool(t)
+	st := testbench.RankingCached(9113, 0, task.Ifc)
+	rank := func(gang int) *RankPoolResult {
+		t.Helper()
+		res, err := RankPool(context.Background(), srcs, st, RankPoolConfig{
+			Backend: testbench.BackendCompiled, Workers: 2, GangSize: gang, Golden: golden,
+		})
+		if err != nil {
+			t.Fatalf("GangSize=%d: %v", gang, err)
+		}
+		return res
+	}
+	ref := rank(0)
+	for _, gang := range []int{1 << 40, math.MaxInt} {
+		if got := rank(gang); !reflect.DeepEqual(got.Clusters, ref.Clusters) {
+			t.Fatalf("GangSize=%d clusters %v, want %v", gang, got.Clusters, ref.Clusters)
+		}
+	}
+	if res, err := RankPool(context.Background(), []*ast.Source{nil, nil}, st, RankPoolConfig{GangSize: math.MaxInt}); err != nil || len(res.Clusters) != 0 {
+		t.Fatalf("all-ineligible pool: clusters %v, err %v", res.Clusters, err)
 	}
 }

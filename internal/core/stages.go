@@ -153,7 +153,6 @@ func (p *Pipeline) rank(ctx context.Context, res *Result) error {
 		Backend:      p.cfg.Backend,
 		Workers:      p.cfg.Workers,
 		GangSize:     p.cfg.GangSize,
-		PerLaneGang:  p.cfg.PerLaneGang,
 		LegacyTraces: p.cfg.LegacyTraces,
 		Golden:       golden,
 	})

@@ -80,46 +80,35 @@ func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 		}
 
 		base, _ := sim.CompileCached(golden, TopModule)
-		for _, gm := range gangModes {
-			for _, bs := range []struct {
-				name string
-				d    *sim.Design
-			}{
-				{"goldenbase", base},
-				{"nobase", nil},
-			} {
-				for _, chunk := range []int{1, 2, len(srcs)} {
-					gangSt := freshStimulus(st)
-					got := make([]*testbench.FPTrace, 0, len(srcs))
-					for lo := 0; lo < len(srcs); lo += chunk {
-						hi := lo + chunk
-						if hi > len(srcs) {
-							hi = len(srcs)
-						}
-						got = append(got, testbench.RunFingerprintGangMode(srcs[lo:hi], TopModule, gangSt, testbench.BackendCompiled, bs.d, gm.mode)...)
+		for _, bs := range []struct {
+			name string
+			d    *sim.Design
+		}{
+			{"goldenbase", base},
+			{"nobase", nil},
+		} {
+			for _, chunk := range []int{1, 2, len(srcs)} {
+				gangSt := freshStimulus(st)
+				got := make([]*testbench.FPTrace, 0, len(srcs))
+				for lo := 0; lo < len(srcs); lo += chunk {
+					hi := lo + chunk
+					if hi > len(srcs) {
+						hi = len(srcs)
 					}
-					for i := range srcs {
-						fpEqual(t, fmt.Sprintf("%s %s/%s chunk=%d cand=%d", task.ID, gm.name, bs.name, chunk, i), got[i], solo[i])
-					}
+					got = append(got, testbench.RunFingerprintGang(srcs[lo:hi], TopModule, gangSt, testbench.BackendCompiled, bs.d)...)
+				}
+				for i := range srcs {
+					fpEqual(t, fmt.Sprintf("%s %s chunk=%d cand=%d", task.ID, bs.name, chunk, i), got[i], solo[i])
 				}
 			}
 		}
 	}
 }
 
-// gangModes enumerates both gang execution models for matrix tests.
-var gangModes = []struct {
-	name string
-	mode testbench.GangMode
-}{
-	{"soa", testbench.GangSoA},
-	{"perlane", testbench.GangPerLane},
-}
-
 // TestSuiteGangWideLanes exercises the wide gang sizes of the acceptance
 // matrix (8 and 64 lanes) that the per-task test above cannot reach with a
 // handful of mutants: for a spread of benchmark tasks it builds a 64-candidate
-// pool of distinct mutants of the golden and requires both gang modes to match
+// pool of distinct mutants of the golden and requires the gang to match
 // solo fingerprints when the pool is partitioned into gangs of 8 and one gang
 // of 64, with and without the golden delta base.
 func TestSuiteGangWideLanes(t *testing.T) {
@@ -156,21 +145,19 @@ func TestSuiteGangWideLanes(t *testing.T) {
 		}
 
 		base, _ := sim.CompileCached(golden, TopModule)
-		for _, gm := range gangModes {
-			for _, bd := range []*sim.Design{base, nil} {
-				for _, chunk := range []int{8, 64} {
-					gangSt := freshStimulus(st)
-					got := make([]*testbench.FPTrace, 0, len(srcs))
-					for lo := 0; lo < len(srcs); lo += chunk {
-						hi := lo + chunk
-						if hi > len(srcs) {
-							hi = len(srcs)
-						}
-						got = append(got, testbench.RunFingerprintGangMode(srcs[lo:hi], TopModule, gangSt, testbench.BackendCompiled, bd, gm.mode)...)
+		for _, bd := range []*sim.Design{base, nil} {
+			for _, chunk := range []int{8, 64} {
+				gangSt := freshStimulus(st)
+				got := make([]*testbench.FPTrace, 0, len(srcs))
+				for lo := 0; lo < len(srcs); lo += chunk {
+					hi := lo + chunk
+					if hi > len(srcs) {
+						hi = len(srcs)
 					}
-					for i := range srcs {
-						fpEqual(t, fmt.Sprintf("%s %s base=%v chunk=%d cand=%d", task.ID, gm.name, bd != nil, chunk, i), got[i], solo[i])
-					}
+					got = append(got, testbench.RunFingerprintGang(srcs[lo:hi], TopModule, gangSt, testbench.BackendCompiled, bd)...)
+				}
+				for i := range srcs {
+					fpEqual(t, fmt.Sprintf("%s base=%v chunk=%d cand=%d", task.ID, bd != nil, chunk, i), got[i], solo[i])
 				}
 			}
 		}

@@ -37,10 +37,6 @@ type Fig3Config struct {
 	// LegacyTraces forces verification onto the retained printed-trace
 	// path instead of streaming fingerprints.
 	LegacyTraces bool
-	// PerLaneGang forces gang simulation onto the per-lane engine model
-	// instead of the default shared-plane SoA model (identical results;
-	// kept as the differential referee and escape hatch).
-	PerLaneGang bool
 	// FPMemoCap sizes the process-wide fingerprint memo (the result
 	// store's memory tier); zero keeps the current capacity.
 	FPMemoCap int
@@ -95,7 +91,6 @@ func RunFig3(ctx context.Context, cfg Fig3Config) (*Fig3Result, error) {
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
 	oracle.LegacyTraces = cfg.LegacyTraces
-	oracle.PerLaneGang = cfg.PerLaneGang
 	res := &Fig3Result{Config: cfg}
 	for _, model := range cfg.Models {
 		series, err := runFig3Model(ctx, cfg, oracle, model)

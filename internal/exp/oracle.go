@@ -38,10 +38,6 @@ type Oracle struct {
 	// before the first Verify: tasks prepared earlier have no retained
 	// golden trace, so they keep comparing fingerprints (same verdicts).
 	LegacyTraces bool
-	// PerLaneGang forces VerifyBatch gangs onto the per-lane engine model
-	// instead of the default shared-plane SoA model. Verdicts are identical
-	// either way; the per-lane model is the differential referee.
-	PerLaneGang bool
 
 	mu       sync.Mutex
 	tasks    map[string]eval.Task
@@ -187,11 +183,7 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 			o.mu.Lock()
 			base := o.goldenD[taskID]
 			o.mu.Unlock()
-			mode := testbench.GangSoA
-			if o.PerLaneGang {
-				mode = testbench.GangPerLane
-			}
-			ok := testbench.VerifyGang(gangSrcs, eval.TopModule, st, o.Backend, base, mode, golden)
+			ok := testbench.VerifyGang(gangSrcs, eval.TopModule, st, o.Backend, base, golden)
 			for j, k := range gangAt {
 				verdicts[k] = ok[j]
 			}

@@ -35,10 +35,6 @@ type Table1Config struct {
 	// printed-trace path instead of streaming fingerprints (results are
 	// identical; kept for differential benchmarking).
 	LegacyTraces bool
-	// PerLaneGang forces gang simulation onto the per-lane engine model
-	// instead of the default shared-plane SoA model (identical results;
-	// kept as the differential referee and escape hatch).
-	PerLaneGang bool
 	// FPMemoCap sizes the process-wide fingerprint memo (the result
 	// store's memory tier); zero keeps the current capacity.
 	FPMemoCap int
@@ -104,7 +100,6 @@ func RunTable1(ctx context.Context, cfg Table1Config) (*Table1Result, error) {
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
 	oracle.LegacyTraces = cfg.LegacyTraces
-	oracle.PerLaneGang = cfg.PerLaneGang
 
 	for _, model := range cfg.Models {
 		outcomes, err := runModelOutcomes(ctx, cfg, oracle, model)
@@ -193,7 +188,6 @@ func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile 
 		pcfg.RetryBaseDelay = 0
 		pcfg.Backend = cfg.Backend
 		pcfg.LegacyTraces = cfg.LegacyTraces
-		pcfg.PerLaneGang = cfg.PerLaneGang
 		pcfg.FPMemoCap = cfg.FPMemoCap
 		pcfg.LLMRetries = cfg.LLMRetries
 		pipe := core.New(client, pcfg)

@@ -67,7 +67,7 @@ func verifyPool(t *testing.T, task eval.Task, rng *xrng.Rand) (pool []string, dy
 // TestVerifyBatchMatchesFullTrace is the gate on early-exit verification:
 // over the golden tasks, every VerifyBatch verdict must equal FPAgrees of
 // the candidate's full trace against the golden's, at batch sizes 1, 8 and
-// 64 and in both gang modes.
+// 64.
 func TestVerifyBatchMatchesFullTrace(t *testing.T) {
 	tasks := goldenTasks()
 	rng := xrng.New(59)
@@ -104,21 +104,18 @@ func TestVerifyBatchMatchesFullTrace(t *testing.T) {
 		if nTrue == 0 || nTrue == len(pool) {
 			t.Fatalf("%s: %d of %d candidates pass; want a mix", task.ID, nTrue, len(pool))
 		}
-		for _, perLane := range []bool{false, true} {
-			for _, size := range []int{1, 8, 64} {
-				o := NewOracle(tasks, 3)
-				o.PerLaneGang = perLane
-				for lo := 0; lo < len(pool); lo += size {
-					hi := min(lo+size, len(pool))
-					got, err := o.VerifyBatch(task.ID, pool[lo:hi])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j, v := range got {
-						if v != want[lo+j] {
-							t.Fatalf("%s perLane=%v size=%d: candidate %d verdict %v, full trace says %v\n%s",
-								task.ID, perLane, size, lo+j, v, want[lo+j], pool[lo+j])
-						}
+		for _, size := range []int{1, 8, 64} {
+			o := NewOracle(tasks, 3)
+			for lo := 0; lo < len(pool); lo += size {
+				hi := min(lo+size, len(pool))
+				got, err := o.VerifyBatch(task.ID, pool[lo:hi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range got {
+					if v != want[lo+j] {
+						t.Fatalf("%s size=%d: candidate %d verdict %v, full trace says %v\n%s",
+							task.ID, size, lo+j, v, want[lo+j], pool[lo+j])
 					}
 				}
 			}

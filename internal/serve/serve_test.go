@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -223,6 +224,30 @@ func directClusters(t *testing.T, seed int64, codes []string) []core.Cluster {
 		t.Fatal(err)
 	}
 	return pool.Clusters
+}
+
+// TestSubmitHugeGangSize: gang_size is forwarded from the request
+// unchecked, so a submit with "gang_size": 9223372036854775807 must complete
+// with the same clusters as a direct rank at the default width.
+func TestSubmitHugeGangSize(t *testing.T) {
+	_, ts, client := newTestServer(t, Config{Workers: 1, QueueCap: 2, RankWorkers: 2})
+	req := SubmitRequest{ID: "huge-gang", TaskID: gateTaskID, Candidates: gateCandidates(), Seed: 7, GangSize: math.MaxInt}
+	if id, resp := submitJob(t, client, ts.URL, req); id == "" {
+		t.Fatalf("submit rejected: HTTP %d", resp.StatusCode)
+	}
+	evs := streamEvents(t, client, ts.URL, req.ID)
+	if fin := terminal(evs); fin == nil || fin.Status != StatusCompleted {
+		t.Fatalf("terminal event = %+v, want completed", fin)
+	}
+	got, want := clusterEvents(evs), directClusters(t, req.Seed, req.Candidates)
+	if len(got) != len(want) {
+		t.Fatalf("cluster events: %d, want %d", len(got), len(want))
+	}
+	for i, cl := range want {
+		if got[i].Fingerprint != fmt.Sprintf("%016x", cl.Fingerprint) || !reflect.DeepEqual(got[i].Members, cl.Members) {
+			t.Fatalf("cluster %d = %+v, want %+v", i, got[i], cl)
+		}
+	}
 }
 
 // TestGeneratedPool lets the server draw its candidate pool from the

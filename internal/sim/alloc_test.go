@@ -219,12 +219,12 @@ func TestSoAGangTickZeroAlloc(t *testing.T) {
 	}
 	d := compileMust(t, allocSeq, "top_module")
 	const lanes = 2
-	g := NewSoAGang(lanes, nil)
+	g := NewSoAGang(lanes)
 	// Identical lanes would dedup to one leader; the alloc gate covers the
 	// gang-kernel execution path, so force both lanes to run.
 	g.dedup = false
 	for l := 0; l < lanes; l++ {
-		g.AddLane(d, nil, -1, nil, nil)
+		g.AddLane(d, true, -1, nil, nil)
 	}
 	g.BeginCase() // seal the layout and reset the lanes
 	for l := 0; l < lanes; l++ {

@@ -76,6 +76,13 @@ func fuzzStimulus(rng *rand.Rand, n int, pUnknown float64) []byte {
 // replication past maxRegCap, a dynamic [a:b] select); those designs must
 // fail with ErrNotCompilable and are skipped, since the testbench runs them
 // on the interpreter itself.
+//
+// Every design that compiles also runs as a two-lane SoA gang with dedup
+// off, so processes that have a gang form lower to shared gang kernels that
+// walk both lanes. Lane 0 sees the stimulus as decoded and lane 1 sees a
+// and b swapped, each against its own interpreter: a kernel that reads or
+// writes the other lane's words diverges. Each lane's outputs and step
+// errors must match its interpreter exactly.
 func FuzzSimDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 16; i++ {
@@ -120,20 +127,39 @@ func FuzzSimDifferential(f *testing.F) {
 			t.Fatalf("Compile: %v\n%s", err, src)
 		}
 		en := d.NewEngine()
-		compare := func(label string) {
-			for _, out := range interp.Outputs() {
-				want, err := interp.Output(out.Name)
+		swapped, err := New(parsed, "top_module")
+		if err != nil {
+			t.Fatalf("interpreter elaborate: %v\n%s", err, src)
+		}
+		gang := NewSoAGang(2)
+		defer gang.Close()
+		gang.dedup = false
+		gang.AddLane(d, true, -1, nil, nil)
+		gang.AddLane(d, true, -1, nil, nil)
+		gang.BeginCase() // seals the shared planes and resets both lanes
+		lanes := []Instance{gang.run.engines[0], gang.run.engines[1]}
+		refs := []*Simulator{interp, swapped}
+
+		compareTo := func(label, kind string, ref *Simulator, got Instance) {
+			for _, out := range ref.Outputs() {
+				want, err := ref.Output(out.Name)
 				if err != nil {
 					t.Fatalf("interpreter Output(%s): %v", out.Name, err)
 				}
-				got, err := en.Output(out.Name)
+				have, err := got.Output(out.Name)
 				if err != nil {
-					t.Fatalf("compiled Output(%s): %v", out.Name, err)
+					t.Fatalf("%s Output(%s): %v", kind, out.Name, err)
 				}
-				if got.String() != want.String() {
-					t.Fatalf("%s: output %s diverges: interpreter=%s compiled=%s\n%s",
-						label, out.Name, want, got, src)
+				if have.String() != want.String() {
+					t.Fatalf("%s: output %s diverges: interpreter=%s %s=%s\n%s",
+						label, out.Name, want, kind, have, src)
 				}
+			}
+		}
+		compare := func(label string) {
+			compareTo(label, "compiled", interp, en)
+			for l := range lanes {
+				compareTo(label, fmt.Sprintf("gang lane %d", l), refs[l], lanes[l])
 			}
 		}
 		compare("initial")
@@ -142,27 +168,61 @@ func FuzzSimDifferential(f *testing.F) {
 			a := NewFromPlanes(8, []uint64{uint64(stim[1])}, []uint64{uint64(stim[2])})
 			b := NewFromPlanes(8, []uint64{uint64(stim[3])}, []uint64{uint64(stim[4])})
 			stim = stim[5:]
-			for _, ins := range []Instance{interp, en} {
-				if err := ins.SetInput("a", a); err != nil {
-					t.Fatal(err)
-				}
-				if err := ins.SetInput("b", b); err != nil {
-					t.Fatal(err)
-				}
+			for _, ins := range []Instance{interp, en, lanes[0]} {
+				fuzzDrive(t, ins, a, b)
 			}
-			var errI, errC error
+			for _, ins := range []Instance{swapped, lanes[1]} {
+				fuzzDrive(t, ins, b, a)
+			}
+			var errI, errC, errS error
 			if mode&1 == 1 {
-				errI, errC = interp.Tick("clk"), en.Tick("clk")
+				errI, errC, errS = interp.Tick("clk"), en.Tick("clk"), swapped.Tick("clk")
+				for _, ln := range lanes {
+					fuzzClock(t, ln, 1)
+				}
+				gang.settleAll()
+				for l, ln := range lanes {
+					if gang.run.laneErr[l] == nil {
+						fuzzClock(t, ln, 0)
+					}
+				}
+				gang.settleAll()
 			} else {
-				errI, errC = interp.Settle(), en.Settle()
+				errI, errC, errS = interp.Settle(), en.Settle(), swapped.Settle()
+				gang.settleAll()
 			}
 			if (errI == nil) != (errC == nil) {
 				t.Fatalf("step %d: error divergence: interpreter=%v compiled=%v\n%s", step, errI, errC, src)
 			}
-			if errI != nil {
-				return // both failed alike; state after an error is unspecified
+			for l, want := range []error{errI, errS} {
+				got := gang.run.laneErr[l]
+				if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
+					t.Fatalf("step %d: gang lane %d error divergence: interpreter=%v gang=%v\n%s", step, l, want, got, src)
+				}
+			}
+			if errI != nil || errS != nil {
+				return // failed alike; state after an error is unspecified
 			}
 			compare(fmt.Sprintf("step %d", step))
 		}
 	})
+}
+
+// fuzzDrive sets the fuzz design's two data inputs on one instance.
+func fuzzDrive(t *testing.T, ins Instance, a, b Value) {
+	t.Helper()
+	if err := ins.SetInput("a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := ins.SetInput("b", b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fuzzClock drives the fuzz design's clock on one gang lane.
+func fuzzClock(t *testing.T, ins Instance, v uint64) {
+	t.Helper()
+	if err := ins.SetInput("clk", NewKnown(1, v)); err != nil {
+		t.Fatal(err)
+	}
 }

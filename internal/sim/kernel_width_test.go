@@ -320,12 +320,12 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 			d := compileMust(t, src, "top_module")
 			for _, lanes := range soaLaneCounts {
 				label := fmt.Sprintf("%s/w%d/lanes%d", tmpl.name, w, lanes)
-				g := NewSoAGang(lanes, nil)
+				g := NewSoAGang(lanes)
 				// Identical lanes would dedup to one leader; this test wants
 				// every lane walked by the gang kernels, so force execution.
 				g.dedup = false
 				for l := 0; l < lanes; l++ {
-					g.AddLane(d, nil, -1, nil, nil)
+					g.AddLane(d, true, -1, nil, nil)
 				}
 				g.BeginCase() // seals the layout and resets every lane
 				for l := 0; l < lanes; l++ {

@@ -24,28 +24,13 @@ endmodule
 `, op)
 }
 
-// retireGang is the lockstep surface both gang models share.
-type retireGang interface {
-	AddLane(d *Design, en *Engine, clock int, ins, outs []int) int
-	LiveLanes() int
-	Err(id int) error
-	Hash(id int) uint64
-	BeginCase()
-	EndCase()
-	Drive(pos int, v Value)
-	Advance()
-	HashOutput(col, width int)
-	Retire(id int, err error)
-	Close()
-}
-
 var errRetired = errors.New("retired by test")
 
 // walkRetire drives every lane of g through cases of a fixed pseudo-random
 // stimulus (reset on each case's first step) and returns each lane's
 // per-case fingerprints. After case ci, every lane listed in retire[ci] is
 // retired.
-func walkRetire(t *testing.T, g retireGang, ds []*Design, cases int, retire map[int][]int) [][]uint64 {
+func walkRetire(t *testing.T, g *SoAGang, ds []*Design, cases int, retire map[int][]int) [][]uint64 {
 	t.Helper()
 	for _, d := range ds {
 		clk, err1 := d.InputHandle("clk")
@@ -55,7 +40,7 @@ func walkRetire(t *testing.T, g retireGang, ds []*Design, cases int, retire map[
 		if err := errors.Join(err1, err2, err3, err4); err != nil {
 			t.Fatal(err)
 		}
-		g.AddLane(d, nil, clk, []int{rst, in}, []int{q})
+		g.AddLane(d, true, clk, []int{rst, in}, []int{q})
 	}
 	fps := make([][]uint64, len(ds))
 	x := uint64(0x9E3779B97F4A7C15)
@@ -68,7 +53,6 @@ func walkRetire(t *testing.T, g retireGang, ds []*Design, cases int, retire map[
 			g.Advance()
 			g.HashOutput(0, 5)
 		}
-		g.EndCase()
 		for k := range ds {
 			if g.Err(k) == nil {
 				fps[k] = append(fps[k], g.Hash(k))
@@ -101,7 +85,7 @@ func equalFPs(a, b []uint64) bool {
 }
 
 // TestGangRetireLeavesSurvivorsBitIdentical retires one lane at a case
-// boundary, in both gang models and with SoA kernel sharing forced on
+// boundary, among distinct lanes and with kernel sharing forced on
 // (identical lanes, dedup off, so the retired lane leaves a shared class
 // mask): the lane leaves LiveLanes with its terminal error, its trace stops
 // at the retiring case, and every survivor's per-case fingerprints equal
@@ -114,18 +98,17 @@ func TestGangRetireLeavesSurvivorsBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		ds    []*Design
-		newG  func(n int) retireGang
 		dedup bool
 	}{
-		{"perlane", []*Design{acc, sub, xor}, func(n int) retireGang { return NewGang(n) }, true},
-		{"soa", []*Design{acc, sub, xor}, func(n int) retireGang { return NewSoAGang(n, nil) }, true},
-		{"soa-shared-class", []*Design{acc, acc, acc}, func(n int) retireGang {
-			g := NewSoAGang(n, nil)
-			g.dedup = false
-			return g
-		}, false},
+		{"soa", []*Design{acc, sub, xor}, true},
+		{"soa-shared-class", []*Design{acc, acc, acc}, false},
 	} {
-		g := tc.newG(3)
+		newG := func(n int) *SoAGang {
+			g := NewSoAGang(n)
+			g.dedup = tc.dedup
+			return g
+		}
+		g := newG(3)
 		got := walkRetire(t, g, tc.ds, cases, map[int][]int{at: {1}})
 		if g.LiveLanes() != 2 {
 			t.Fatalf("%s: LiveLanes = %d after retiring one of 3 lanes", tc.name, g.LiveLanes())
@@ -138,7 +121,7 @@ func TestGangRetireLeavesSurvivorsBitIdentical(t *testing.T) {
 			t.Fatalf("%s: retired lane recorded %d cases, want %d", tc.name, len(got[1]), at+1)
 		}
 
-		ref := tc.newG(2)
+		ref := newG(2)
 		want := walkRetire(t, ref, []*Design{tc.ds[0], tc.ds[2]}, cases, nil)
 		ref.Close()
 		for k, w := range map[int][]uint64{0: want[0], 2: want[1]} {
@@ -158,12 +141,12 @@ func TestSoARetireMirrorResolvesToLeader(t *testing.T) {
 	ds := []*Design{acc, acc, sub} // lane 1 mirrors lane 0
 	const cases = 4
 
-	ref := NewSoAGang(1, nil)
+	ref := NewSoAGang(1)
 	want := walkRetire(t, ref, []*Design{sub}, cases, nil)[0]
 	ref.Close()
 
 	for _, victim := range []int{0, 1} {
-		g := NewSoAGang(len(ds), nil)
+		g := NewSoAGang(len(ds))
 		got := walkRetire(t, g, ds, cases, map[int][]int{0: {victim}})
 		if g.LiveLanes() != 1 {
 			t.Fatalf("retire %d: LiveLanes = %d, want 1 (leader and mirror both out)", victim, g.LiveLanes())

@@ -27,14 +27,15 @@
 // Candidate pools make this common: register renames and repeated mutations
 // produce textually distinct sources that are the same machine.
 //
-// Semantics are bit-identical to sim.Gang (N independent engines): the
-// merged scheduler replays each lane's exact solo Settle loop — same action
-// priority (dispatch > run > NBA), same per-lane delta budget, same
-// first-error retirement — it only lines the lanes up so that process
-// activations with the same pid coalesce into per-class gang-program runs. A
-// lane retires by dropping out of the live list and every mask; its plane
-// block is simply never touched again (no block swapping), so survivors'
-// storage and fingerprints are unaffected by construction.
+// Semantics are bit-identical to N independent solo engines, each run alone
+// on the same stimulus: the merged scheduler replays each lane's exact solo
+// Settle loop — same action priority (dispatch > run > NBA), same per-lane
+// delta budget, same first-error retirement — it only lines the lanes up so
+// that process activations with the same pid coalesce into per-class
+// gang-program runs. A lane retires by dropping out of the live list and
+// every mask; its plane block is simply never touched again (no block
+// swapping), so survivors' storage and fingerprints are unaffected by
+// construction.
 package sim
 
 import (
@@ -42,11 +43,14 @@ import (
 	"sync"
 )
 
-// SoAGang runs several candidate designs over shared struct-of-arrays
-// planes. It mirrors the Gang surface so the testbench drives either
-// interchangeably. Not safe for concurrent use.
+// SoAGang runs several candidate designs in lockstep over one shared
+// stimulus stream and shared struct-of-arrays planes. The testbench decodes
+// each schedule step row once and broadcasts it to every live lane (Drive),
+// advances all lanes together (Advance), and folds their outputs into
+// per-lane fingerprints (HashOutput); every lane's fingerprints and errors
+// equal those of its solo run. Not safe for concurrent use; ranking workers
+// each drive their own gang.
 type SoAGang struct {
-	base  *Design
 	run   gangRun
 	lanes []soaLane
 	live  []int32
@@ -118,16 +122,12 @@ type soaLane struct {
 var soaGangPool sync.Pool
 
 // NewSoAGang returns an empty SoA gang with capacity for n lanes, recycling
-// a pooled gang when one is available. The base design (typically the golden
-// the lanes were delta-compiled against) is kept for surface parity with the
-// delta-compilation flow; gang sharing itself is peer-to-peer between lanes,
-// so a nil base costs nothing.
-func NewSoAGang(n int, base *Design) *SoAGang {
+// a pooled gang when one is available.
+func NewSoAGang(n int) *SoAGang {
 	sg, _ := soaGangPool.Get().(*SoAGang)
 	if sg == nil {
 		sg = &SoAGang{}
 	}
-	sg.base = base
 	sg.dedup = true
 	sg.sealed = false
 	sg.closed = false
@@ -167,20 +167,16 @@ func growU64(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-// AddLane registers one candidate design and returns the lane id. The engine
-// argument exists for surface parity with Gang.AddLane: the SoA gang always
-// builds its own aliasing engines over the shared planes, so a probe engine
-// passed in is simply returned to its pool. Lanes must all be added before
-// the first BeginCase.
-func (sg *SoAGang) AddLane(d *Design, en *Engine, clock int, ins, outs []int) int {
-	if en != nil {
-		d.ReleaseEngine(en)
-	}
-	if sg.base == nil {
-		sg.base = d
-	}
+// AddLane registers one candidate design with its resolved input handles
+// (ins, in drive position order), output handles and clock handle (-1 for
+// combinational lanes), and returns the lane id. perCase selects the
+// sequential lifecycle: the lane resets to its initial snapshot at every
+// BeginCase, so cases are independent; otherwise its state carries across
+// cases, as the solo path's shared combinational instance does. Lanes must
+// all be added before the first BeginCase.
+func (sg *SoAGang) AddLane(d *Design, perCase bool, clock int, ins, outs []int) int {
 	id := len(sg.lanes)
-	sg.lanes = append(sg.lanes, soaLane{d: d, perCase: en == nil, clock: clock, ins: ins, outs: outs})
+	sg.lanes = append(sg.lanes, soaLane{d: d, perCase: perCase, clock: clock, ins: ins, outs: outs})
 	sg.live = append(sg.live, int32(id))
 	return id
 }
@@ -571,10 +567,6 @@ func (sg *SoAGang) BeginCase() {
 	}
 }
 
-// EndCase exists for surface parity with Gang (which releases per-case
-// engines here); SoA lane engines persist, resetting at the next BeginCase.
-func (sg *SoAGang) EndCase() {}
-
 // Drive stores one decoded stimulus value into drive position pos of every
 // live lane. The Value may be a view over shared schedule planes.
 func (sg *SoAGang) Drive(pos int, v Value) {
@@ -637,6 +629,16 @@ func (sg *SoAGang) Retire(id int, err error) {
 	}
 	sg.run.laneErr[id] = err
 	sg.live = dropLive(sg.live, int32(id))
+}
+
+// dropLive removes id from the ordered live list in place.
+func dropLive(live []int32, id int32) []int32 {
+	for i, l := range live {
+		if l == id {
+			return append(live[:i], live[i+1:]...)
+		}
+	}
+	return live
 }
 
 // settleAll replays each live lane's solo Settle loop in merged lockstep:
@@ -876,7 +878,6 @@ func (sg *SoAGang) Close() {
 	for i := range sg.kfirst {
 		sg.kfirst[i] = 0
 	}
-	sg.base = nil
 	sg.live = sg.live[:0]
 	soaGangPool.Put(sg)
 }

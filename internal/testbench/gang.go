@@ -243,34 +243,6 @@ type gangLane struct {
 	tr  *FPTrace
 }
 
-// GangMode selects the gang execution model.
-type GangMode int
-
-const (
-	// GangSoA shares one pair of struct-of-arrays planes across all lanes
-	// and runs delta-matched processes as a single gang program (sim.SoAGang).
-	// The default.
-	GangSoA GangMode = iota
-	// GangPerLane gives every lane a private engine (sim.Gang) — the PR 6
-	// model, kept as an escape hatch and differential referee.
-	GangPerLane
-)
-
-// laneGang is the common surface of the two gang execution models.
-type laneGang interface {
-	AddLane(d *sim.Design, en *sim.Engine, clock int, ins, outs []int) int
-	LiveLanes() int
-	Err(id int) error
-	Hash(id int) uint64
-	BeginCase()
-	EndCase()
-	Drive(pos int, v sim.Value)
-	Advance()
-	HashOutput(col, width int)
-	Retire(id int, err error)
-	Close()
-}
-
 // RunFingerprintGang is RunFingerprint over a batch of candidates sharing
 // one stimulus: every result is bit-identical to the solo run of the same
 // source, but all memo-missing candidates advance in lockstep through one
@@ -279,16 +251,9 @@ type laneGang interface {
 // for the rest (candidates of one task are mutants of a common ancestor, so
 // layouts frequently match). Interpreter runs, compile failures, irregular
 // stimuli and failed bindings all take the solo path for the affected
-// candidate, preserving its exact legacy behavior. Runs in the default
-// GangSoA mode; RunFingerprintGangMode selects explicitly.
+// candidate, preserving its exact legacy behavior.
 func RunFingerprintGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design) []*FPTrace {
-	return RunFingerprintGangMode(srcs, top, st, backend, base, GangSoA)
-}
-
-// RunFingerprintGangMode is RunFingerprintGang with an explicit gang
-// execution model.
-func RunFingerprintGangMode(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) []*FPTrace {
-	out, err := RunFingerprintGangModeCtx(context.Background(), srcs, top, st, backend, base, mode)
+	out, err := RunFingerprintGangCtx(context.Background(), srcs, top, st, backend, base)
 	if err != nil {
 		// Unreachable with a background context: the only errors the ctx
 		// variant returns are the context's own.
@@ -301,17 +266,12 @@ func RunFingerprintGangMode(srcs []*ast.Source, top string, st *Stimulus, backen
 // the run observes ctx between test cases and between lanes, so a cancel
 // lands within one case's worth of simulation. On cancellation it returns
 // ctx's error, aborting (never publishing) the memo claims of unfinished
-// lanes so the next job recomputes them to bit-identical results.
+// lanes so the next job recomputes them to bit-identical results. A panic
+// inside the lockstep walk never escapes: the crashed walk's unresolved
+// lanes are re-run solo, where a lane that crashes again resolves to a
+// per-candidate ErrSimPanic trace and every other lane reproduces its
+// bit-identical clean result.
 func RunFingerprintGangCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design) ([]*FPTrace, error) {
-	return RunFingerprintGangModeCtx(ctx, srcs, top, st, backend, base, GangSoA)
-}
-
-// RunFingerprintGangModeCtx is RunFingerprintGangCtx with an explicit gang
-// execution model. A panic inside the lockstep walk never escapes: the
-// crashed walk's unresolved lanes are re-run solo, where a lane that
-// crashes again resolves to a per-candidate ErrSimPanic trace and every
-// other lane reproduces its bit-identical clean result.
-func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) ([]*FPTrace, error) {
 	out := make([]*FPTrace, len(srcs))
 	if len(srcs) == 0 {
 		return out, nil
@@ -367,7 +327,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		lanes = append(lanes, gangLane{src: src, d: d, e: e})
 		laneIdx = append(laneIdx, i)
 	}
-	if err := runGangLanesCtx(ctx, lanes, top, st, backend, base, mode, nil); err != nil {
+	if err := runGangLanesCtx(ctx, lanes, top, st, backend, nil); err != nil {
 		abortLanes(lanes)
 		return nil, err
 	}
@@ -406,7 +366,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 // walk (compile errors, failed bindings, irregular stimuli, the interpreter
 // backend, a crashed walk) run solo to a full trace judged by FPAgrees.
 // base seeds delta compilation as in RunFingerprintGang.
-func VerifyGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, golden *FPTrace) []bool {
+func VerifyGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, golden *FPTrace) []bool {
 	out := make([]bool, len(srcs))
 	if golden.Err != nil || len(golden.CaseFPs) != len(st.Cases) {
 		// A clean candidate completes every case, so it can agree with
@@ -442,7 +402,7 @@ func VerifyGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend, b
 		}
 		laneOf[i] = k
 	}
-	runGangLanes(lanes, top, st, backend, base, mode, golden.CaseFPs)
+	runGangLanes(lanes, top, st, backend, golden.CaseFPs)
 	for i, k := range laneOf {
 		if k >= 0 {
 			out[i] = judge(lanes[k].tr)
@@ -479,8 +439,8 @@ func finishLane(ln *gangLane, tr *FPTrace) {
 
 // runGangLanes is runGangLanesCtx without cancellation (verification, and
 // tests driving memo-bypassing lanes directly).
-func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, want []uint64) {
-	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, base, mode, want); err != nil {
+func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, want []uint64) {
+	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, want); err != nil {
 		panic(err) // unreachable: a background context never cancels
 	}
 }
@@ -495,14 +455,14 @@ func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, b
 // re-runs solo, isolating the crash to the candidate that caused it. A
 // non-nil want (one fingerprint per case) retires each lockstep lane at its
 // first case that disagrees with it; see runGangLockstep.
-func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, want []uint64) error {
+func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, want []uint64) error {
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%w: %v", errGangCrashed, r)
 			}
 		}()
-		return runGangLockstep(ctx, lanes, top, st, backend, base, mode, want)
+		return runGangLockstep(ctx, lanes, top, st, backend, want)
 	}()
 	if err == nil || !errors.Is(err, errGangCrashed) {
 		return err // nil, or a context error the caller unwinds
@@ -538,15 +498,10 @@ var errDiverged = errors.New("diverged from the reference")
 // want[ci] after case ci is retired with errDiverged, so its trace stops
 // there — such truncated traces must never be published. Ranking passes
 // nil and every lane runs every case.
-func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, want []uint64) error {
+func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, want []uint64) error {
 	sched := st.schedule()
 
-	var g laneGang
-	if mode == GangPerLane {
-		g = sim.NewGang(len(lanes))
-	} else {
-		g = sim.NewSoAGang(len(lanes), base)
-	}
+	g := sim.NewSoAGang(len(lanes))
 	gangOf := make([]int, 0, len(lanes)) // gang lane id -> lanes index
 	seq := st.Ifc.Sequential()
 	for li := range lanes {
@@ -559,10 +514,12 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 			finishLane(ln, tr)
 			continue
 		}
+		// The probe engine only serves handle resolution: the gang builds
+		// its own lane engines over the shared planes.
 		en := ln.d.AcquireEngine()
 		b, ok := cachedBind(ln.d, sched, en, &st.Ifc)
+		ln.d.ReleaseEngine(en)
 		if !ok {
-			ln.d.ReleaseEngine(en)
 			tr, err := runFingerprintSoloCtx(ctx, ln.src, top, st, backend)
 			if err != nil {
 				return err
@@ -570,13 +527,9 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 			finishLane(ln, tr)
 			continue
 		}
-		if seq {
-			// Sequential cases each get a fresh engine (BeginCase); the
-			// probe engine only served handle resolution.
-			ln.d.ReleaseEngine(en)
-			en = nil
-		}
-		g.AddLane(ln.d, en, b.clock, b.ins, b.outs)
+		// Sequential lanes reset at every BeginCase so cases stay
+		// independent, as the solo path's fresh engine per case.
+		g.AddLane(ln.d, seq, b.clock, b.ins, b.outs)
 		gangOf = append(gangOf, li)
 		statSims.Add(1) // one fingerprint simulation per gang lane
 	}
@@ -634,7 +587,6 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 				g.HashOutput(oi, st.Ifc.Outputs[oi].Width)
 			}
 		}
-		g.EndCase()
 		// Gang lane ids are assigned in AddLane order, so id == k. A lane
 		// records the case fingerprint only if it survived the whole case,
 		// exactly like the solo per-case append.

@@ -105,23 +105,20 @@ func TestNotCompilableInGangMatchesSolo(t *testing.T) {
 		name string
 		d    *sim.Design
 	}{{"nobase", nil}, {"neighbourbase", base}} {
-		for _, gm := range gangModes {
-			label := fmt.Sprintf("%s/%s", b.name, gm.name)
-			// Fresh stimulus per subtest: a fresh pointer misses the
-			// (design, stimulus) memo, so the gang really runs.
-			st := NewGenerator(13).Ranking(routeIfc())
-			out := RunFingerprintGangMode(srcs, "top_module", st, BackendCompiled, b.d, gm.mode)
-			if len(out) != len(srcs) {
-				t.Fatalf("%s: result count %d, want %d", label, len(out), len(srcs))
+		// Fresh stimulus per subtest: a fresh pointer misses the
+		// (design, stimulus) memo, so the gang really runs.
+		st := NewGenerator(13).Ranking(routeIfc())
+		out := RunFingerprintGang(srcs, "top_module", st, BackendCompiled, b.d)
+		if len(out) != len(srcs) {
+			t.Fatalf("%s: result count %d, want %d", b.name, len(out), len(srcs))
+		}
+		for i, src := range srcs {
+			backend := BackendCompiled
+			if refused[i] {
+				backend = BackendInterpreter
 			}
-			for i, src := range srcs {
-				backend := BackendCompiled
-				if refused[i] {
-					backend = BackendInterpreter
-				}
-				fpTraceEqual(t, fmt.Sprintf("%s lane %d", label, i), out[i],
-					runFingerprintSolo(src, "top_module", st, backend))
-			}
+			fpTraceEqual(t, fmt.Sprintf("%s lane %d", b.name, i), out[i],
+				runFingerprintSolo(src, "top_module", st, backend))
 		}
 	}
 }

@@ -1192,5 +1192,5 @@ func runCaseFP(s sim.Instance, st *Stimulus, c *Case) (uint64, error) {
 // VerifyGang and stops at its first disagreeing case.
 func Verify(candidate, golden *ast.Source, top string, st *Stimulus) bool {
 	gt := RunFingerprint(golden, top, st, BackendCompiled)
-	return VerifyGang([]*ast.Source{candidate}, top, st, BackendCompiled, nil, GangSoA, gt)[0]
+	return VerifyGang([]*ast.Source{candidate}, top, st, BackendCompiled, nil, gt)[0]
 }

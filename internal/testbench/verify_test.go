@@ -26,8 +26,8 @@ func fullVerdict(src *ast.Source, st *Stimulus, backend Backend, golden *FPTrace
 // full-trace verdict for every lane kind: the reference itself, a duplicate
 // pointer and a canonically distinct equivalent, a disagreeing mutant, a
 // runtime-error lane, a bind failure, a missing top module, a design the
-// compiler refuses — on sequential and combinational interfaces, both gang
-// modes and both backends, plus an irregular (unscheduled) stimulus.
+// compiler refuses — on sequential and combinational interfaces and both
+// backends, plus an irregular (unscheduled) stimulus.
 func TestVerifyGangMatchesFullTrace(t *testing.T) {
 	irregular := &Stimulus{
 		Ifc: combIfc(),
@@ -69,14 +69,12 @@ func TestVerifyGangMatchesFullTrace(t *testing.T) {
 			if nTrue == 0 || nTrue == len(srcs) {
 				t.Fatalf("%s/%v: pool has %d of %d passing candidates; want a mix", tc.name, backend, nTrue, len(srcs))
 			}
-			for _, gm := range gangModes {
-				for _, base := range []*sim.Design{nil, mustCompile(t, tc.golden)} {
-					got := VerifyGang(srcs, "top_module", tc.st, backend, base, gm.mode, golden)
-					for i := range srcs {
-						if got[i] != want[i] {
-							t.Fatalf("%s/%v/%s/base=%v: candidate %d verdict %v, full trace says %v",
-								tc.name, backend, gm.name, base != nil, i, got[i], want[i])
-						}
+			for _, base := range []*sim.Design{nil, mustCompile(t, tc.golden)} {
+				got := VerifyGang(srcs, "top_module", tc.st, backend, base, golden)
+				for i := range srcs {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%v/base=%v: candidate %d verdict %v, full trace says %v",
+							tc.name, backend, base != nil, i, got[i], want[i])
 					}
 				}
 			}
@@ -98,17 +96,15 @@ func TestGangLockstepRetiresDivergedLanes(t *testing.T) {
 	if first == len(full.CaseFPs) {
 		t.Fatal("mutant never disagrees with the reference")
 	}
-	for _, gm := range gangModes {
-		lanes := []gangLane{
-			{src: mustParse(t, schedSeqSrc), d: mustCompile(t, schedSeqSrc)},
-			{src: mustParse(t, gangSeqVariant), d: mustCompile(t, gangSeqVariant)},
-		}
-		runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode, golden.CaseFPs)
-		fpTraceEqual(t, gm.name+"/agreeing lane", lanes[0].tr, golden)
-		tr := lanes[1].tr
-		if tr.Err == nil || !strings.HasSuffix(tr.Err.Error(), errDiverged.Error()) || len(tr.CaseFPs) != first+1 {
-			t.Fatalf("%s: diverged lane err %v after %d cases; want errDiverged after %d", gm.name, tr.Err, len(tr.CaseFPs), first+1)
-		}
+	lanes := []gangLane{
+		{src: mustParse(t, schedSeqSrc), d: mustCompile(t, schedSeqSrc)},
+		{src: mustParse(t, gangSeqVariant), d: mustCompile(t, gangSeqVariant)},
+	}
+	runGangLanes(lanes, "top_module", st, BackendCompiled, golden.CaseFPs)
+	fpTraceEqual(t, "agreeing lane", lanes[0].tr, golden)
+	tr := lanes[1].tr
+	if tr.Err == nil || !strings.HasSuffix(tr.Err.Error(), errDiverged.Error()) || len(tr.CaseFPs) != first+1 {
+		t.Fatalf("diverged lane err %v after %d cases; want errDiverged after %d", tr.Err, len(tr.CaseFPs), first+1)
 	}
 }
 
@@ -133,12 +129,10 @@ func TestVerifyGangBypassesMemoAndStore(t *testing.T) {
 	srcs := []*ast.Source{mustParse(t, schedSeqSrc), mustParse(t, gangSeqVariant), mustParse(t, gangSeqLoop), mustParse(t, seqEquivalent)}
 
 	memoLen, stats := FPMemoLen(), ReadStoreStats()
-	for _, gm := range gangModes {
-		got := VerifyGang(srcs, "top_module", st, BackendCompiled, nil, gm.mode, golden)
-		for i, src := range srcs {
-			if want := fullVerdict(src, st, BackendCompiled, golden); got[i] != want {
-				t.Fatalf("%s: candidate %d verdict %v, full trace says %v", gm.name, i, got[i], want)
-			}
+	got := VerifyGang(srcs, "top_module", st, BackendCompiled, nil, golden)
+	for i, src := range srcs {
+		if want := fullVerdict(src, st, BackendCompiled, golden); got[i] != want {
+			t.Fatalf("candidate %d verdict %v, full trace says %v", i, got[i], want)
 		}
 	}
 	if n := FPMemoLen(); n != memoLen {
@@ -178,17 +172,15 @@ func TestVerifyGangPanicIsolatedToCandidate(t *testing.T) {
 	if !fullVerdict(srcs[victim], st, BackendCompiled, golden) {
 		t.Fatal("victim must pass when unfaulted")
 	}
-	for _, gm := range gangModes {
-		faultinject.ArmFrom(faultinject.PointSimCase, sim.CanonicalKey(srcs[victim]), 2, func() {
-			panic("injected simulator crash")
-		})
-		got := VerifyGang(srcs, "top_module", st, BackendCompiled, nil, gm.mode, golden)
-		faultinject.Reset()
-		for i, src := range srcs {
-			want := i != victim && fullVerdict(src, st, BackendCompiled, golden)
-			if got[i] != want {
-				t.Fatalf("%s: candidate %d verdict %v, want %v", gm.name, i, got[i], want)
-			}
+	faultinject.ArmFrom(faultinject.PointSimCase, sim.CanonicalKey(srcs[victim]), 2, func() {
+		panic("injected simulator crash")
+	})
+	got := VerifyGang(srcs, "top_module", st, BackendCompiled, nil, golden)
+	faultinject.Reset()
+	for i, src := range srcs {
+		want := i != victim && fullVerdict(src, st, BackendCompiled, golden)
+		if got[i] != want {
+			t.Fatalf("candidate %d verdict %v, want %v", i, got[i], want)
 		}
 	}
 }

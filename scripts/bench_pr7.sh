@@ -8,11 +8,11 @@
 #     silently rehit the stimulus memo — only a fresh process is cold.
 #   - Fixed -benchtime (iteration count, not wall time) so every run does
 #     identical work.
-#   - Rounds interleave the rows (fingerprint, cold, cold-perlane per round)
-#     and the SoA-vs-perlane speedup is the median of PER-ROUND ratios:
-#     adjacent runs see similar machine load, so slow load drift cancels out
-#     of the ratio instead of skewing whichever row ran later.
+#   - Rounds interleave the rows (fingerprint, then cold, per round):
+#     adjacent runs see similar machine load, so slow load drift spreads
+#     over both rows instead of skewing whichever row ran later.
 #   - Median of 3 rounds; single runs on shared machines jitter ±10%.
+#   - The script records; it gates nothing and exits 0 whatever it measures.
 #
 # Usage: scripts/bench_pr7.sh [output.json]
 # Writes the machine-readable result row set to output.json (default
@@ -24,7 +24,7 @@ BENCHTIME=${BENCHTIME:-1000x}
 ROUNDS=${ROUNDS:-3}
 OUT=${1:-/tmp/bench_pr7_raw.json}
 
-rows=(fingerprint cold cold-perlane)
+rows=(fingerprint cold)
 
 run_once() { # $1 row name -> "ns bytes allocs" from one fresh process
     local name=$1 line
@@ -39,21 +39,15 @@ run_once() { # $1 row name -> "ns bytes allocs" from one fresh process
 median() { sort -n | awk '{a[NR]=$1} END{print a[int((NR+1)/2)]}'; }
 
 declare -A NSRUNS BYRUNS ALRUNS
-ratios=""
 for ((r = 1; r <= ROUNDS; r++)); do
     echo "round ${r}/${ROUNDS} (benchtime ${BENCHTIME}, one fresh process per row)..." >&2
-    declare -A round_ns
     for row in "${rows[@]}"; do
         read -r ns by al <<<"$(run_once "$row")"
         echo "  ${row}: ${ns} ns/op, ${by} B/op, ${al} allocs/op" >&2
         NSRUNS[$row]+="${ns} "
         BYRUNS[$row]+="${by} "
         ALRUNS[$row]+="${al} "
-        round_ns[$row]=$ns
     done
-    ratio=$(awk -v p="${round_ns[cold-perlane]}" -v s="${round_ns[cold]}" 'BEGIN{printf "%.3f", p/s}')
-    echo "  round ${r} cold speedup (perlane/soa): ${ratio}x" >&2
-    ratios+="${ratio} "
 done
 
 declare -A NS BY AL
@@ -62,16 +56,15 @@ for row in "${rows[@]}"; do
     BY[$row]=$(printf '%s\n' ${BYRUNS[$row]} | median)
     AL[$row]=$(printf '%s\n' ${ALRUNS[$row]} | median)
 done
-speedup=$(printf '%s\n' $ratios | median)
 
 {
     echo '{'
     echo "  \"benchtime\": \"${BENCHTIME}\", \"rounds\": ${ROUNDS},"
+    sep=,
     for row in "${rows[@]}"; do
-        echo "  \"${row}\": {\"ns_per_op\": ${NS[$row]}, \"bytes_per_op\": ${BY[$row]}, \"allocs_per_op\": ${AL[$row]}},"
+        [ "$row" = "${rows[-1]}" ] && sep=
+        echo "  \"${row}\": {\"ns_per_op\": ${NS[$row]}, \"bytes_per_op\": ${BY[$row]}, \"allocs_per_op\": ${AL[$row]}}${sep}"
     done
-    echo "  \"per_round_cold_speedups\": [$(printf '%s\n' $ratios | paste -sd, -)],"
-    echo "  \"cold_speedup_soa_vs_perlane\": ${speedup}"
     echo '}'
 } >"$OUT"
-echo "wrote ${OUT} (cold SoA speedup over per-lane: median of per-round ratios = ${speedup}x)" >&2
+echo "wrote ${OUT} (cold rank: median ${NS[cold]} ns/op)" >&2
