@@ -7,7 +7,7 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/eval"
@@ -41,11 +41,20 @@ type Oracle struct {
 
 	mu       sync.Mutex
 	tasks    map[string]eval.Task
-	stimul   map[string]*testbench.Stimulus
-	golden   map[string]*testbench.FPTrace
-	goldenTr map[string]*testbench.Trace
-	goldenD  map[string]*sim.Design // compiled golden: delta-compilation base
+	prepared map[string]*goldenPrep
 	verdicts map[verdictKey]bool
+}
+
+// goldenPrep is one task's verification setup, computed once: the stimulus,
+// the golden fingerprints (plus the golden printed trace on the legacy path)
+// and the compiled golden that candidate batches delta-compile against.
+type goldenPrep struct {
+	once     sync.Once
+	st       *testbench.Stimulus
+	golden   *testbench.FPTrace
+	goldenTr *testbench.Trace
+	base     *sim.Design
+	err      error
 }
 
 // verdictKey caches verification results by task and candidate text hash
@@ -61,10 +70,7 @@ func NewOracle(tasks []eval.Task, seed int64) *Oracle {
 	o := &Oracle{
 		seed:     seed,
 		tasks:    make(map[string]eval.Task, len(tasks)),
-		stimul:   make(map[string]*testbench.Stimulus, len(tasks)),
-		golden:   make(map[string]*testbench.FPTrace, len(tasks)),
-		goldenTr: make(map[string]*testbench.Trace, len(tasks)),
-		goldenD:  make(map[string]*sim.Design, len(tasks)),
+		prepared: make(map[string]*goldenPrep, len(tasks)),
 		verdicts: make(map[verdictKey]bool),
 	}
 	for _, t := range tasks {
@@ -73,39 +79,56 @@ func NewOracle(tasks []eval.Task, seed int64) *Oracle {
 	return o
 }
 
-// prepare lazily computes the verification stimulus and the golden
-// fingerprints (plus the golden printed trace on the legacy path).
-func (o *Oracle) prepare(taskID string) (*testbench.Stimulus, *testbench.FPTrace, *testbench.Trace, error) {
+// prepare lazily computes a task's verification setup. It is single-flight
+// per task and runs the golden work outside o.mu, so a batch preparing one
+// task never stalls batches of other tasks; concurrent callers for the same
+// task wait for the one computation and all see its result, error included.
+func (o *Oracle) prepare(taskID string) (*goldenPrep, error) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if st, ok := o.stimul[taskID]; ok {
-		return st, o.golden[taskID], o.goldenTr[taskID], nil
-	}
 	task, ok := o.tasks[taskID]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: unknown task %q", ErrExperiment, taskID)
+	gp := o.prepared[taskID]
+	if ok && gp == nil {
+		gp = &goldenPrep{}
+		o.prepared[taskID] = gp
 	}
+	o.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown task %q", ErrExperiment, taskID)
+	}
+	gp.once.Do(func() {
+		// If the golden work panics, later callers get this error rather
+		// than a half-filled setup.
+		gp.err = fmt.Errorf("%w: golden preparation for %q did not complete", ErrExperiment, taskID)
+		gp.err = o.prepareGolden(gp, task)
+	})
+	if gp.err != nil {
+		return nil, gp.err
+	}
+	return gp, nil
+}
+
+// prepareGolden fills gp's stimulus, golden traces and delta base for task.
+func (o *Oracle) prepareGolden(gp *goldenPrep, task eval.Task) error {
 	st := testbench.VerificationCached(o.seed+int64(task.Index), task.Ifc)
 	src, err := eval.ParseCached(task.Golden)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: golden parse: %v", ErrExperiment, err)
+		return fmt.Errorf("%w: golden parse: %v", ErrExperiment, err)
 	}
 	var golden *testbench.FPTrace
 	var goldenTr *testbench.Trace
 	if o.LegacyTraces {
 		goldenTr = testbench.RunBackend(src, eval.TopModule, st, o.Backend)
 		if goldenTr.Err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: golden simulation: %v", ErrExperiment, goldenTr.Err)
+			return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, goldenTr.Err)
 		}
 		// The cached trace is compared by many goroutines at once, so its
 		// lazy fingerprint memo must be filled before publication.
 		goldenTr.Warm()
-		o.goldenTr[taskID] = goldenTr
 		golden = goldenTr.FP() // same values, no second simulation
 	} else {
 		golden = testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
 		if golden.Err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
+			return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
 		}
 	}
 	golden.Fingerprint() // warm the memo before concurrent reads
@@ -114,12 +137,11 @@ func (o *Oracle) prepare(taskID string) (*testbench.Stimulus, *testbench.FPTrace
 		// batches: mutants share its netlist layout, so their unmutated
 		// processes splice in instead of re-lowering.
 		if d, derr := sim.CompileCached(src, eval.TopModule); derr == nil {
-			o.goldenD[taskID] = d
+			gp.base = d
 		}
 	}
-	o.stimul[taskID] = st
-	o.golden[taskID] = golden
-	return st, golden, goldenTr, nil
+	gp.st, gp.golden, gp.goldenTr = st, golden, goldenTr
+	return nil
 }
 
 // Verify reports whether candidate code is functionally correct for the
@@ -157,19 +179,20 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 	o.mu.Unlock()
 
 	if len(pending) > 0 {
-		st, golden, goldenTr, err := o.prepare(taskID)
+		gp, err := o.prepare(taskID)
 		if err != nil {
 			return nil, err
 		}
+		st := gp.st
 		verdicts := make([]bool, len(pending))
-		if o.LegacyTraces && goldenTr != nil {
+		if o.LegacyTraces && gp.goldenTr != nil {
 			for k, i := range pending {
 				src := mustParse(codes[i])
 				if src == nil {
 					continue // unparseable: verdict stays false
 				}
 				tr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
-				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, goldenTr)
+				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, gp.goldenTr)
 			}
 		} else {
 			gangSrcs := make([]*ast.Source, 0, len(pending))
@@ -180,10 +203,7 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 					gangAt = append(gangAt, k)
 				}
 			}
-			o.mu.Lock()
-			base := o.goldenD[taskID]
-			o.mu.Unlock()
-			ok := testbench.VerifyGang(gangSrcs, eval.TopModule, st, o.Backend, base, golden)
+			ok := testbench.VerifyGang(gangSrcs, eval.TopModule, st, o.Backend, gp.base, gp.golden)
 			for j, k := range gangAt {
 				verdicts[k] = ok[j]
 			}
@@ -213,8 +233,10 @@ func mustParse(code string) *ast.Source {
 	return src
 }
 
+// codeSeed seeds hashCode. Verdict keys never leave the process, so a
+// per-process seed is fine.
+var codeSeed = maphash.MakeSeed()
+
 func hashCode(code string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(code))
-	return h.Sum64()
+	return maphash.String(codeSeed, code)
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/eval"
@@ -74,10 +75,11 @@ func TestVerifyBatchMatchesFullTrace(t *testing.T) {
 	for _, task := range tasks {
 		pool, dynSelect, loop := verifyPool(t, task, rng)
 		ref := NewOracle(tasks, 3)
-		st, golden, _, err := ref.prepare(task.ID)
+		gp, err := ref.prepare(task.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st, golden := gp.st, gp.golden
 		want := make([]bool, len(pool))
 		nTrue := 0
 		for i, code := range pool {
@@ -119,6 +121,81 @@ func TestVerifyBatchMatchesFullTrace(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestOraclePrepareConcurrent drives one oracle from several goroutines,
+// each walking the golden tasks in a different order, so batches prepare
+// different tasks at the same time and race to prepare the same one. Every
+// verdict must equal a sequential oracle's, and a golden that cannot be
+// prepared must fail every concurrent caller.
+func TestOraclePrepareConcurrent(t *testing.T) {
+	tasks := goldenTasks()
+	rng := xrng.New(61)
+	pools := make([][]string, len(tasks))
+	want := make([][]bool, len(tasks))
+	seq := NewOracle(tasks, 3)
+	for i, task := range tasks {
+		pools[i], _, _ = verifyPool(t, task, rng)
+		var err error
+		if want[i], err = seq.VerifyBatch(task.ID, pools[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const workers = 4
+	o := NewOracle(tasks, 3)
+	got := make([][][]bool, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([][]bool, len(tasks))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := range tasks {
+				i := (j + w) % len(tasks)
+				for lo := 0; lo < len(pools[i]); lo += 8 {
+					v, err := o.VerifyBatch(tasks[i].ID, pools[i][lo:min(lo+8, len(pools[i]))])
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					got[w][i] = append(got[w][i], v...)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for i, task := range tasks {
+			for k := range want[i] {
+				if got[w][i][k] != want[i][k] {
+					t.Fatalf("worker %d, %s: candidate %d verdict %v, sequential oracle says %v",
+						w, task.ID, k, got[w][i][k], want[i][k])
+				}
+			}
+		}
+	}
+
+	broken := tasks[0]
+	broken.Golden = "not verilog at all"
+	bo := NewOracle([]eval.Task{broken}, 3)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = bo.Verify(broken.ID, tasks[0].Golden)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if !errors.Is(err, ErrExperiment) {
+			t.Fatalf("worker %d: broken golden returned %v, want ErrExperiment", w, err)
 		}
 	}
 }

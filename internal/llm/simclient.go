@@ -344,16 +344,17 @@ func (c *SimClient) reasoningText(task eval.Task, tokens int, rng *xrng.Rand) st
 // printModuleSource renders a source unit with the top module replaced by
 // mod (supporting multi-module goldens).
 func printModuleSource(src *ast.Source, mod *ast.Module) string {
-	var b strings.Builder
+	buf := printer.GetBuffer()
 	for _, m := range src.Modules {
 		if m.Name == mod.Name {
-			b.WriteString(printer.PrintModule(mod))
-		} else {
-			b.WriteString(printer.PrintModule(m))
+			m = mod
 		}
-		b.WriteByte('\n')
+		buf.B = printer.AppendModule(buf.B, m)
+		buf.B = append(buf.B, '\n')
 	}
-	return b.String()
+	out := string(buf.B)
+	printer.PutBuffer(buf)
+	return out
 }
 
 // truncateCode produces a syntactically broken completion (the model ran out

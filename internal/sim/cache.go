@@ -36,7 +36,10 @@ func CanonicalKey(src *ast.Source) string {
 		return k
 	}
 	keyMemoMu.Unlock()
-	sum := sha256.Sum256([]byte(printer.Print(src)))
+	buf := printer.GetBuffer()
+	buf.B = printer.AppendSource(buf.B, src)
+	sum := sha256.Sum256(buf.B)
+	printer.PutBuffer(buf)
 	k := hex.EncodeToString(sum[:])
 	keyMemoMu.Lock()
 	if len(keyMemo) >= keyMemoCap {

@@ -256,6 +256,16 @@ func sigString(h uint64, s string) uint64 {
 	return h
 }
 
+// sigBytes is sigString over a byte slice: the same length prefix and byte
+// fold, so printed bytes hash exactly as the string would.
+func sigBytes(h uint64, b []byte) uint64 {
+	h = sigUint(h, uint64(len(b)))
+	for _, c := range b {
+		h = (h ^ uint64(c)) * FNVPrime64
+	}
+	return h
+}
+
 func sigUint(h, x uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (x & 0xff)) * FNVPrime64
@@ -306,16 +316,21 @@ func scopeSig(h uint64, sc *scope) uint64 {
 // parameters lowering reads. Sensitivity lists are deliberately excluded —
 // they determine fanout, which compileFrom always recomputes per design.
 func procSigOf(p *process) uint64 {
+	buf := printer.GetBuffer()
+	defer printer.PutBuffer(buf)
 	h := scopeSig(FNVOffset64, p.scope)
 	if p.cont {
 		h = sigUint(h, 1)
-		h = sigString(h, printer.PrintExpr(p.lhs))
-		h = sigString(h, printer.PrintExpr(p.rhs))
+		buf.B = printer.AppendExpr(buf.B[:0], p.lhs)
+		h = sigBytes(h, buf.B)
+		buf.B = printer.AppendExpr(buf.B[:0], p.rhs)
+		h = sigBytes(h, buf.B)
 		h = scopeSig(h, p.rhsScope)
 		return h
 	}
 	h = sigUint(h, 2)
-	return sigString(h, printer.PrintStmt(p.body, 0))
+	buf.B = printer.AppendStmt(buf.B[:0], p.body, 0)
+	return sigBytes(h, buf.B)
 }
 
 func compileFrom(s *Simulator, base *Design) (*Design, error) {

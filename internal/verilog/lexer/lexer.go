@@ -1,6 +1,6 @@
 // Package lexer implements a hand-written lexer for the supported Verilog
-// subset. It produces token streams consumed by the parser and reports
-// precise source positions for diagnostics.
+// subset. It produces tokens on demand (Next), which the parser pulls one at
+// a time, and reports precise source positions for diagnostics.
 package lexer
 
 import (
@@ -353,7 +353,10 @@ func (l *Lexer) lexNumber(pos token.Pos) token.Token {
 }
 
 // All tokenizes the whole input, returning every token up to and including
-// the first EOF.
+// the first EOF. The parser does not use it: Parse streams tokens with Next,
+// one token of lookahead, so no token slice is built per parse. All remains
+// for the benchmark's lexer replay and for tests that compare against the
+// whole-input token stream.
 func (l *Lexer) All() []token.Token {
 	var toks []token.Token
 	for {

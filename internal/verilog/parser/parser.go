@@ -54,20 +54,51 @@ func (l ErrorList) Is(target error) bool { return target == ErrSyntax }
 
 const maxErrors = 20
 
+// parser pulls tokens from the lexer one at a time: the grammar needs one
+// token of lookahead, so no token slice is ever built.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lx   *lexer.Lexer
+	tok  token.Token // current token
 	errs ErrorList
 }
 
 // Parse parses a full compilation unit (one or more modules).
 func Parse(src string) (*ast.Source, error) {
-	lx := lexer.New(src)
-	toks := lx.All()
-	p := &parser{toks: toks}
-	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	out, errs := parse(src)
+	if len(errs) > 0 {
+		return out, fmt.Errorf("%w: %s", ErrSyntax, errs.Error())
 	}
+	if len(out.Modules) == 0 {
+		return out, fmt.Errorf("%w: no module found", ErrSyntax)
+	}
+	return out, nil
+}
+
+// parse returns the parsed unit and every diagnostic. Lexical errors over
+// the whole input lead the list, in source order, and count toward the
+// maxErrors cap. Streaming only learns of them as it goes, so the first
+// pass parses with parser errors alone and then lexes the rest of the input;
+// if that found any lexical error, the parse is repeated with the list
+// seeded with them, which is what the parser's decisions (the cap) depend
+// on. Only input with a lexical error pays for the second pass.
+func parse(src string) (*ast.Source, ErrorList) {
+	out, errs, lexErrs := parsePass(src, nil)
+	if len(lexErrs) == 0 {
+		return out, errs
+	}
+	seed := make(ErrorList, len(lexErrs), len(lexErrs)+maxErrors)
+	for i, le := range lexErrs {
+		seed[i] = &Error{Pos: le.Pos, Msg: le.Msg}
+	}
+	out, errs, _ = parsePass(src, seed)
+	return out, errs
+}
+
+// parsePass runs the parser once over src with the diagnostic list starting
+// at seed, then drains the lexer to EOF and returns its errors.
+func parsePass(src string, seed ErrorList) (*ast.Source, ErrorList, []*lexer.Error) {
+	p := &parser{lx: lexer.New(src), errs: seed}
+	p.tok = p.lx.Next()
 	out := &ast.Source{}
 	for !p.at(token.EOF) && len(p.errs) < maxErrors {
 		m := p.parseModule()
@@ -76,13 +107,10 @@ func Parse(src string) (*ast.Source, error) {
 		}
 		out.Modules = append(out.Modules, m)
 	}
-	if len(p.errs) > 0 {
-		return out, fmt.Errorf("%w: %s", ErrSyntax, p.errs.Error())
+	for p.tok.Kind != token.EOF {
+		p.tok = p.lx.Next()
 	}
-	if len(out.Modules) == 0 {
-		return out, fmt.Errorf("%w: no module found", ErrSyntax)
-	}
-	return out, nil
+	return out, p.errs, p.lx.Errors()
 }
 
 // ParseModule parses a source expected to contain exactly one module and
@@ -95,13 +123,13 @@ func ParseModule(src string) (*ast.Module, error) {
 	return s.Modules[0], nil
 }
 
-func (p *parser) cur() token.Token     { return p.toks[p.pos] }
-func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
+func (p *parser) cur() token.Token     { return p.tok }
+func (p *parser) at(k token.Kind) bool { return p.tok.Kind == k }
 
 func (p *parser) next() token.Token {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.pos++
+		p.tok = p.lx.Next()
 	}
 	return t
 }

@@ -1,0 +1,4 @@
+module top_module (input a, output y);
+    assign y = a;
+endmodule
+/* never closed

@@ -153,3 +153,31 @@ func TestPrintStmtAndExpr(t *testing.T) {
 		t.Errorf("PrintStmt = %q", got)
 	}
 }
+
+// TestAppendAfterPrefixAndPoolCap checks that AppendSource extends dst
+// without altering what it already holds, and that an oversized buffer is
+// not pooled.
+func TestAppendAfterPrefixAndPoolCap(t *testing.T) {
+	for _, task := range eval.Suite()[:20] {
+		src, err := parser.Parse(task.Golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const prefix = "keep\n\n"
+		got := string(printer.AppendSource([]byte(prefix), src))
+		if want := prefix + printer.Print(src); got != want {
+			t.Fatalf("%s: AppendSource after a prefix differs from the prefix plus Print", task.ID)
+		}
+	}
+
+	huge := printer.GetBuffer()
+	huge.B = make([]byte, 0, 1<<20)
+	printer.PutBuffer(huge)
+	for i := 0; i < 8; i++ {
+		buf := printer.GetBuffer()
+		if cap(buf.B) >= 1<<20 {
+			t.Fatalf("GetBuffer returned a pooled %d-byte buffer past the pooling cap", cap(buf.B))
+		}
+		defer printer.PutBuffer(buf)
+	}
+}
