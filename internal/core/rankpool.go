@@ -135,14 +135,12 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	} else {
 		nUnits = (len(jobs) + gang - 1) / gang
 		fps = make([]*testbench.FPTrace, len(jobs))
-		// The compiled golden anchors every gang: it is the delta-compilation
-		// base for candidate lanes AND the owner of the shared SoA program.
-		// Candidates habitually rename internal registers while keeping whole
-		// processes identical to the golden, so anchoring on the golden (not
-		// on whichever candidate happens to lead the batch) is what lets the
-		// name-blind sharing criterion coalesce those processes into one
-		// gang-program walk. Parse and compile are both process-wide caches,
-		// so this costs one lookup per rank call.
+		// The compiled golden anchors every gang as the delta-compilation
+		// base for candidate lanes: candidates are usually the golden with a
+		// few processes changed, so anchoring on it (not on whichever
+		// candidate happens to lead the batch) lets each candidate splice
+		// the golden's unchanged process closures. Parse and compile are both
+		// process-wide caches, so this costs one lookup per rank call.
 		var base *sim.Design
 		if cfg.Golden != nil && cfg.Backend != testbench.BackendInterpreter {
 			if d, derr := sim.CompileCached(cfg.Golden, eval.TopModule); derr == nil {
@@ -152,10 +150,10 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 		// Gang-aware batching: order jobs by behavior class before slicing
 		// into gangs, so alpha-equivalent candidates (register renames,
 		// repeated mutations — the bulk of an LLM pool's redundancy) land in
-		// the same gang, where the SoA backend dedups whole lanes and shares
-		// kernels. Each lane's fingerprints are independent of its batch, so
-		// any ordering yields bit-identical decisions; sorting is stable on
-		// first-seen order, keeping results deterministic. The delta compile
+		// the same gang, where the SoA backend dedups whole lanes. Each
+		// lane's fingerprints are independent of its batch, so any ordering
+		// yields bit-identical decisions; sorting is stable on first-seen
+		// order, keeping results deterministic. The delta compile
 		// feeds the same process-wide cache the gang's bind step uses, so
 		// this costs one cache lookup per job per rank call.
 		if base != nil && len(jobs) > gang {

@@ -63,7 +63,7 @@ func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 				if mut == nil {
 					continue
 				}
-				msrc, perr := parser.Parse(printer.PrintModule(mut))
+				msrc, perr := parser.Parse(string(printer.AppendModule(nil, mut)))
 				if perr != nil {
 					continue // a mutant may print to something unparseable; skip
 				}
@@ -130,7 +130,7 @@ func TestSuiteGangWideLanes(t *testing.T) {
 			if mut == nil {
 				continue
 			}
-			msrc, perr := parser.Parse(printer.PrintModule(mut))
+			msrc, perr := parser.Parse(string(printer.AppendModule(nil, mut)))
 			if perr != nil {
 				continue
 			}

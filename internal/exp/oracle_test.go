@@ -59,7 +59,7 @@ func TestOracleDetectsMutants(t *testing.T) {
 			if mutant == nil {
 				continue
 			}
-			ok, verr := oracle.Verify(task.ID, printer.PrintModule(mutant))
+			ok, verr := oracle.Verify(task.ID, string(printer.AppendModule(nil, mutant)))
 			if verr != nil {
 				t.Fatal(verr)
 			}

@@ -55,7 +55,7 @@ func verifyPool(t *testing.T, task eval.Task, rng *xrng.Rand) (pool []string, dy
 	}
 	for i := 0; i < 10; i++ {
 		if m, _ := mutate.Semantic(src.FindModule(eval.TopModule), rng, mutate.Config{Count: 1}); m != nil {
-			pool = append(pool, printer.PrintModule(m))
+			pool = append(pool, string(printer.AppendModule(nil, m)))
 		}
 	}
 	pool = append(pool,

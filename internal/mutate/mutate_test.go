@@ -26,9 +26,9 @@ func replaceTop(src *ast.Source, mod *ast.Module) string {
 	out := ""
 	for _, m := range src.Modules {
 		if m.Name == mod.Name {
-			out += printer.PrintModule(mod)
+			out += string(printer.AppendModule(nil, mod))
 		} else {
-			out += printer.PrintModule(m)
+			out += string(printer.AppendModule(nil, m))
 		}
 		out += "\n"
 	}
@@ -176,13 +176,13 @@ func TestCanonicalMutationIsShared(t *testing.T) {
 func TestSemanticDoesNotMutateOriginal(t *testing.T) {
 	task := eval.Suite()[0]
 	_, top := goldenModule(t, task)
-	before := printer.PrintModule(top)
+	before := string(printer.AppendModule(nil, top))
 	rng := xrng.New(4)
 	for i := 0; i < 5; i++ {
 		Semantic(top, rng, Config{Count: 2})
 		Cosmetic(top, rng)
 	}
-	if printer.PrintModule(top) != before {
+	if string(printer.AppendModule(nil, top)) != before {
 		t.Error("mutation touched the original module")
 	}
 }

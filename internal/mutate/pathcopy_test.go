@@ -58,7 +58,7 @@ func TestPathCopyMatchesFullClone(t *testing.T) {
 			continue // subsample for speed; still spans every family
 		}
 		_, top := goldenModule(t, task)
-		before := printer.PrintModule(top)
+		before := string(printer.AppendModule(nil, top))
 		for seed := uint64(0); seed < 6; seed++ {
 			cfg := Config{Count: int(seed%3) + 1}
 			if seed%2 == 1 {
@@ -81,15 +81,15 @@ func TestPathCopyMatchesFullClone(t *testing.T) {
 					t.Fatalf("%s seed %d: op %d %q vs %q", task.ID, seed, i, wantOps[i], gotOps[i])
 				}
 			}
-			wantSrc := printer.PrintModule(want)
-			gotSrc := printer.PrintModule(got)
+			wantSrc := string(printer.AppendModule(nil, want))
+			gotSrc := string(printer.AppendModule(nil, got))
 			if wantSrc != gotSrc {
 				t.Fatalf("%s seed %d (ops %v): path-copied mutant diverges from full clone\n--- full clone ---\n%s\n--- path copy ---\n%s",
 					task.ID, seed, wantOps, wantSrc, gotSrc)
 			}
 			trials++
 		}
-		if after := printer.PrintModule(top); after != before {
+		if after := string(printer.AppendModule(nil, top)); after != before {
 			t.Fatalf("%s: Semantic mutated the golden module", task.ID)
 		}
 	}

@@ -98,8 +98,8 @@ type Design struct {
 	deltaReused int // processes whose artifacts came from the base design
 
 	// gangLayoutSig is the name-blind layout hash (gangsig.go): net shapes
-	// and order without hierarchical names. It keys gang-program sharing
-	// across designs that differ only by identifier renaming, which the
+	// and order without hierarchical names. It lets whole-lane dedup match
+	// designs that differ only by identifier renaming, which the
 	// name-sensitive layoutSig deliberately distinguishes.
 	gangLayoutSig uint64
 	// gangClassHash folds everything whole-lane dedup compares (laneEqual);
@@ -113,16 +113,6 @@ type Design struct {
 	// store. See CanonicalHash.
 	canonHash string
 
-	// gangProcs and gangNetIdx retain the elaborated process list (aligned
-	// with procs) and the net index map, so the shared gang program
-	// (gangrf.go) can be lowered lazily from the same sources the solo
-	// closures came from. gangProg caches that lowering; it is lane-count
-	// independent, so one program serves every SoA gang of this design.
-	gangProcs  []*process
-	gangNetIdx map[*net]int32
-	gangOnce   sync.Once
-	gangProg   *gangProg
-
 	pool sync.Pool // recycled Engines (AcquireEngine/ReleaseEngine)
 }
 
@@ -135,7 +125,7 @@ type Design struct {
 // offsets land where they were allocated.
 type procArt struct {
 	sig      uint64 // canonical process hash (printed text, scope, params)
-	gangSig  uint64 // alpha-renaming-blind hash for gang sharing (gangsig.go)
+	gangSig  uint64 // alpha-renaming-blind hash for whole-lane dedup (gangsig.go)
 	frameIn  int32  // frame cursor at lowering entry
 	frameOut int32  // frame cursor after lowering (scratch + interned consts)
 	consts   []constPatch
@@ -401,9 +391,7 @@ func compileFrom(s *Simulator, base *Design) (*Design, error) {
 		procID[p] = int32(k)
 		d.procs = append(d.procs, art.cp)
 		d.procArts = append(d.procArts, art)
-		d.gangProcs = append(d.gangProcs, p)
 	}
-	d.gangNetIdx = c.netIdx
 
 	d.levelFan = make([][]int32, len(s.nets))
 	d.edgeFan = make([][]cedgeSub, len(s.nets))

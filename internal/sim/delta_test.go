@@ -24,7 +24,7 @@ func mustParse(t *testing.T, src string) *ast.Source {
 // independent AST, so the delta compile sees a genuinely fresh candidate.
 func moduleText(t *testing.T, m *ast.Module) string {
 	t.Helper()
-	return printer.PrintModule(m)
+	return string(printer.AppendModule(nil, m))
 }
 
 // deltaBaseSrc has several processes (two continuous assigns and a clocked

@@ -78,11 +78,11 @@ func fuzzStimulus(rng *rand.Rand, n int, pUnknown float64) []byte {
 // on the interpreter itself.
 //
 // Every design that compiles also runs as a two-lane SoA gang with dedup
-// off, so processes that have a gang form lower to shared gang kernels that
-// walk both lanes. Lane 0 sees the stimulus as decoded and lane 1 sees a
-// and b swapped, each against its own interpreter: a kernel that reads or
-// writes the other lane's words diverges. Each lane's outputs and step
-// errors must match its interpreter exactly.
+// off, so both lanes run on their own engines over neighboring blocks of the
+// shared planes. Lane 0 sees the stimulus as decoded and lane 1 sees a and
+// b swapped, each against its own interpreter: a lane that reads or writes
+// the other lane's words diverges. Each lane's outputs and step errors must
+// match its interpreter exactly.
 func FuzzSimDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 16; i++ {
@@ -137,7 +137,7 @@ func FuzzSimDifferential(f *testing.F) {
 		gang.AddLane(d, true, -1, nil, nil)
 		gang.AddLane(d, true, -1, nil, nil)
 		gang.BeginCase() // seals the shared planes and resets both lanes
-		lanes := []Instance{gang.run.engines[0], gang.run.engines[1]}
+		lanes := []Instance{gang.engines[0], gang.engines[1]}
 		refs := []*Simulator{interp, swapped}
 
 		compareTo := func(label, kind string, ref *Simulator, got Instance) {
@@ -182,7 +182,7 @@ func FuzzSimDifferential(f *testing.F) {
 				}
 				gang.settleAll()
 				for l, ln := range lanes {
-					if gang.run.laneErr[l] == nil {
+					if gang.laneErr[l] == nil {
 						fuzzClock(t, ln, 0)
 					}
 				}
@@ -195,7 +195,7 @@ func FuzzSimDifferential(f *testing.F) {
 				t.Fatalf("step %d: error divergence: interpreter=%v compiled=%v\n%s", step, errI, errC, src)
 			}
 			for l, want := range []error{errI, errS} {
-				got := gang.run.laneErr[l]
+				got := gang.laneErr[l]
 				if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
 					t.Fatalf("step %d: gang lane %d error divergence: interpreter=%v gang=%v\n%s", step, l, want, got, src)
 				}

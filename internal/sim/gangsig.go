@@ -3,25 +3,27 @@ package sim
 import "repro/internal/verilog/ast"
 
 // Gang-compat signatures: alpha-renaming-insensitive hashes deciding when two
-// designs can share one lowered gang program (soa.go).
+// lanes of an SoA gang (soa.go) are the same machine, so one may mirror the
+// other (laneEqual), and ordering ranking jobs so such lanes share a gang
+// (GangClassHash).
 //
 // The name-sensitive pair used by delta compilation (layoutSigOf, procSigOf)
-// is the wrong sharing key for ranking gangs: LLM candidates habitually
-// rename internal registers (hist vs hist_r vs hist_v) while keeping the
-// circuit identical, and a renamed process prints differently even though it
-// lowers to the same kernel. A gang kernel captures no names — only net
-// indices, frame offsets derived from widths, and constant values — so the
-// honest compatibility relation is structural:
+// is the wrong key for this: LLM candidates habitually rename internal
+// registers (hist vs hist_r vs hist_v) while keeping the circuit identical,
+// and a renamed process prints differently even though it lowers to the same
+// closure. A compiled closure captures no names — only net indices, frame
+// offsets derived from widths, and constant values — so the honest
+// equivalence relation is structural:
 //
 //   - gangLayoutSigOf hashes the flattened net shapes in order (width, LSB),
 //     but not names. Equal signatures mean net index i occupies the same
 //     frame range with the same bit addressing in both designs, which is
-//     all a kernel's loads and stores depend on.
+//     all a closure's loads and stores depend on.
 //   - gangProcSig hashes one process with every identifier resolved the way
 //     lowering resolves it: parameters fold as their elaborated constant
 //     value, nets fold as their index. Two processes with equal signatures
-//     are structurally identical modulo renaming, so the base design's
-//     lowered kernel computes exactly what the lane's own process would.
+//     are structurally identical modulo renaming, so they compute the same
+//     thing on the same frame.
 //
 // Everything lowering reads is covered: AST shape and operators, parameter
 // values (constFold consults only sc.params), resolved net indices (net
@@ -76,7 +78,7 @@ func gangLayoutSigOf(s *Simulator) uint64 {
 // dedup compares (laneEqual): name-blind layout, per-process signatures,
 // dispatch tables, and the initial frame snapshot. Callers use it to order
 // candidates so alpha-equivalent designs land in the same gang, where
-// dedup and kernel sharing collapse them. The hash is advisory — the
+// whole-lane dedup collapses them. The hash is advisory — the
 // gang re-verifies equality field by field — so a collision costs batching
 // quality, never correctness. Computed once at compile time: the walk
 // covers the whole frame snapshot, which is too much to redo per ranking
@@ -107,7 +109,7 @@ func (d *Design) computeGangClassHash() uint64 {
 	return h
 }
 
-// gangProcSig canonically hashes one process for gang-program sharing, with
+// gangProcSig canonically hashes one process for whole-lane dedup, with
 // identifiers resolved to what lowering reads instead of what the source
 // calls them.
 func gangProcSig(p *process, netIdx map[*net]int32) uint64 {

@@ -85,11 +85,12 @@ func equalFPs(a, b []uint64) bool {
 }
 
 // TestGangRetireLeavesSurvivorsBitIdentical retires one lane at a case
-// boundary, among distinct lanes and with kernel sharing forced on
-// (identical lanes, dedup off, so the retired lane leaves a shared class
-// mask): the lane leaves LiveLanes with its terminal error, its trace stops
-// at the retiring case, and every survivor's per-case fingerprints equal
-// those of a gang built without the retired lane.
+// boundary, among distinct lanes and among identical lanes with dedup off
+// (so the retired lane is a running engine whose plane block neighbors the
+// survivors', not a mirror): the lane leaves LiveLanes with its terminal
+// error, its trace stops at the retiring case, and every survivor's
+// per-case fingerprints equal those of a gang built without the retired
+// lane.
 func TestGangRetireLeavesSurvivorsBitIdentical(t *testing.T) {
 	acc := compileMust(t, retireSeq("q + d"), "top_module")
 	sub := compileMust(t, retireSeq("q - d"), "top_module")
@@ -101,7 +102,7 @@ func TestGangRetireLeavesSurvivorsBitIdentical(t *testing.T) {
 		dedup bool
 	}{
 		{"soa", []*Design{acc, sub, xor}, true},
-		{"soa-shared-class", []*Design{acc, acc, acc}, false},
+		{"soa-dedup-off", []*Design{acc, acc, acc}, false},
 	} {
 		newG := func(n int) *SoAGang {
 			g := NewSoAGang(n)

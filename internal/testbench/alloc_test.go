@@ -202,10 +202,10 @@ endmodule
 }
 
 // TestSoAGangDriveAllocBudget gates the gang drive loop at its floor: after
-// the first case seals the shared planes and lowers the gang program, one
+// the first case seals the shared planes and builds the lane engines, one
 // whole warm test case — BeginCase lane resets, decode-once broadcast
-// drives, merged lockstep advances with gang-program activations, per-lane
-// fingerprint folds — must allocate exactly ZERO objects across every lane.
+// drives, lockstep advances that settle every lane, per-lane fingerprint
+// folds — must allocate exactly ZERO objects across every lane.
 // Stimulus values are plane views and hashes fold in place.
 func TestSoAGangDriveAllocBudget(t *testing.T) {
 	if raceEnabled {

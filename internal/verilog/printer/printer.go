@@ -2,9 +2,10 @@
 // source text. The mutation engine relies on it to materialize candidate
 // code, and round-tripping through the parser is covered by tests.
 //
-// The Print functions return strings. Callers that only hash or copy the
-// text use the Append functions with a pooled Buffer instead, so no string
-// is built per print.
+// Print returns a whole compilation unit as a string. The Append functions
+// render a source, module, expression or statement into a caller's byte
+// slice; callers that only hash or copy the text use them with a pooled
+// Buffer, so no string is built per print.
 package printer
 
 import (
@@ -13,30 +14,11 @@ import (
 	"repro/internal/verilog/ast"
 )
 
-// Print renders a full compilation unit.
+// Print renders a full compilation unit. It prints into a pooled buffer and
+// copies the result out once.
 func Print(s *ast.Source) string {
-	return printString(func(dst []byte) []byte { return AppendSource(dst, s) })
-}
-
-// PrintModule renders one module.
-func PrintModule(m *ast.Module) string {
-	return printString(func(dst []byte) []byte { return AppendModule(dst, m) })
-}
-
-// PrintExpr renders an expression.
-func PrintExpr(e ast.Expr) string {
-	return printString(func(dst []byte) []byte { return AppendExpr(dst, e) })
-}
-
-// PrintStmt renders a statement at the given indent depth.
-func PrintStmt(s ast.Stmt, depth int) string {
-	return printString(func(dst []byte) []byte { return AppendStmt(dst, s, depth) })
-}
-
-// printString prints into a pooled buffer and copies the result out once.
-func printString(appendTo func([]byte) []byte) string {
 	buf := GetBuffer()
-	buf.B = appendTo(buf.B)
+	buf.B = AppendSource(buf.B, s)
 	out := string(buf.B)
 	PutBuffer(buf)
 	return out

@@ -143,14 +143,15 @@ endmodule
 	}
 }
 
+// TestPrintStmtAndExpr renders a lone expression and a lone statement.
 func TestPrintStmtAndExpr(t *testing.T) {
 	e := &ast.Binary{Op: ast.Add, X: &ast.Ident{Name: "a"}, Y: &ast.Ident{Name: "b"}}
-	if got := printer.PrintExpr(e); got != "a + b" {
-		t.Errorf("PrintExpr = %q", got)
+	if got := string(printer.AppendExpr(nil, e)); got != "a + b" {
+		t.Errorf("AppendExpr = %q", got)
 	}
 	st := &ast.AssignStmt{LHS: &ast.Ident{Name: "q"}, RHS: e, Blocking: false}
-	if got := strings.TrimSpace(printer.PrintStmt(st, 0)); got != "q <= a + b;" {
-		t.Errorf("PrintStmt = %q", got)
+	if got := strings.TrimSpace(string(printer.AppendStmt(nil, st, 0))); got != "q <= a + b;" {
+		t.Errorf("AppendStmt = %q", got)
 	}
 }
 
